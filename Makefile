@@ -1,4 +1,4 @@
-.PHONY: all build test check check-model lint advise bench bench-analysis bench-gate bench-update chaos serve-smoke examples clean doc export
+.PHONY: all build test check check-model lint advise bench perfbench-check chaos serve-smoke examples clean doc export
 
 all: build
 
@@ -29,23 +29,23 @@ bench:
 	dune exec bench/main.exe
 	dune exec bench/bench_lint.exe
 
-bench-analysis:
-	dune exec bin/vdram.exe -- bench-analysis
+# The layered benchmark's correctness oracles (perfbench/NOTES.md): a
+# short untraced run of every workload plus a traced corners run.  Each
+# must report "correct": true and "failed": 0 on its last line.
+PERFBENCH_RUNS = \
+  "--workload corners-20k --trace 0" \
+  "--workload sensitivity-roadmap --trace 0" \
+  "--workload serve-mixed --trace 0" \
+  "--workload static-check --trace 0" \
+  "--workload corners-20k --trace 1"
 
-bench-gate: build
-	dune exec bin/vdram.exe -- bench-analysis --out BENCH_fresh.json
-	dune exec tools/bench_gate.exe -- BENCH_analysis.json BENCH_fresh.json
-
-# Refresh the committed baseline: one warmup run plus three candidates;
-# the gate's --update mode sanity-checks each and commits the median by
-# parallel speedup.
-bench-update: build
-	@for i in 0 1 2 3; do \
-	  dune exec bin/vdram.exe -- bench-analysis --out BENCH_run$$i.json || exit 1; \
+perfbench-check:
+	@for run in $(PERFBENCH_RUNS); do \
+	  last=$$(bash perfbench/run.sh $$run --seed 1 --seconds 3 | tail -n 1) || exit 1; \
+	  echo "$$run: $$last"; \
+	  printf '%s' "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+	    || { echo "$$run: not correct, or items failed"; exit 1; }; \
 	done
-	dune exec tools/bench_gate.exe -- --update BENCH_analysis.json \
-	  BENCH_run0.json BENCH_run1.json BENCH_run2.json BENCH_run3.json
-	rm -f BENCH_run0.json BENCH_run1.json BENCH_run2.json BENCH_run3.json
 
 # Supervised runtime under deterministic fault injection: must exit 3
 # (partial results) and report only injected mix-stage failures.
@@ -64,7 +64,7 @@ chaos: build
 # Serve daemon end-to-end: boot the real binary under fault
 # injection, drive concurrent mixed traffic (coalescing and
 # injected-only failures are counter-verified), then SIGTERM it and
-# assert a clean drain with the store flushed.  See doc/SERVE.md.
+# assert a clean drain.  See doc/SERVE.md.
 serve-smoke: build
 	dune exec tools/serve_smoke.exe -- _build/default/bin/vdram.exe
 

@@ -30,8 +30,8 @@ module Sensitivity = Vdram_analysis.Sensitivity
 module Trends = Vdram_analysis.Trends
 module Engine = Vdram_engine.Engine
 
-(* One shared engine for every regeneration below: repeated devices hit
-   the stage caches, and batches fan out on the domain pool. *)
+(* One shared engine for every regeneration below: batches fan out on
+   the domain pool. *)
 let engine = Engine.create ()
 
 let header title =
@@ -538,6 +538,4 @@ let () =
   architectures ();
   system_view ();
   bechamel_suite ();
-  header "Engine cache counters (whole run)";
-  Format.printf "%a@." Engine.pp_stats (Engine.stats engine);
   print_newline ()

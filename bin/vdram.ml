@@ -76,45 +76,13 @@ let timings_arg =
   Arg.(
     value & flag
     & info [ "timings" ]
-        ~doc:"Print per-stage timing, cache-hit and disk-cache \
-              counters to stderr.")
+        ~doc:"Print the engine's worker count and the supervised \
+              runtime's failure counters to stderr.")
 
-let cache_arg =
-  Arg.(
-    value & flag
-    & info [ "cache" ]
-        ~doc:"Share extraction and pattern-mix results across runs \
-              through the persistent on-disk cache (see \
-              $(b,--cache-dir)).  Stale or corrupt snapshots are \
-              never served: they are quarantined under the cache \
-              directory and recomputed.")
-
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the persistent cache even when $(b,--cache) or \
-              $(b,--cache-dir) is given.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Persistent cache directory (implies $(b,--cache); \
-              default $(b,VDRAM_CACHE_DIR), else _build/.vdram-cache).")
-
-(* One term shared by every analysis command: [--jobs] plus the
-   persistent-cache trio, yielding an engine factory. *)
+(* One term shared by every analysis command: [--jobs], yielding an
+   engine factory. *)
 let engine_term =
-  let make jobs cache no_cache cache_dir () =
-    let store =
-      if no_cache || ((not cache) && cache_dir = None) then None
-      else Some (Vdram_engine.Engine.store_open ?dir:cache_dir ())
-    in
-    Vdram_engine.Engine.create ?jobs ?store ()
-  in
-  Term.(const make $ jobs_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
+  Term.(const (fun jobs () -> Vdram_engine.Engine.create ?jobs ()) $ jobs_arg)
 
 (* ----- supervised runtime flags ------------------------------------ *)
 
@@ -185,18 +153,7 @@ let build_supervision (keep_going, max_failures, fail_log, deadline) =
 
 let report_timings timings engine supervisor =
   if timings then begin
-    Format.eprintf "engine (%d jobs):@.%a@."
-      (Vdram_engine.Engine.jobs engine)
-      Vdram_engine.Engine.pp_stats
-      (Vdram_engine.Engine.stats engine);
-    (match Vdram_engine.Engine.store engine with
-     | None -> ()
-     | Some st ->
-       let ext, mix = Vdram_engine.Engine.preloaded engine in
-       Format.eprintf "disk cache %s: preloaded %d extraction / %d mix@."
-         (Vdram_engine.Store.dir st) ext mix;
-       Format.eprintf "disk cache i/o: %a@." Vdram_engine.Store.pp_stats
-         (Vdram_engine.Store.stats st));
+    Format.eprintf "engine: %d jobs@." (Vdram_engine.Engine.jobs engine);
     match supervisor with
     | None -> ()
     | Some sup ->
@@ -204,12 +161,10 @@ let report_timings timings engine supervisor =
         (Vdram_engine.Supervise.counters sup)
   end
 
-(* End-of-command bookkeeping: write the caches back to the store (a
-   no-op without one), persist the failure report, then report
-   counters.  Returns the failure count so callers can pick the exit
-   code. *)
+(* End-of-command bookkeeping: persist the failure report, then
+   report counters.  Returns the failure count so callers can pick the
+   exit code. *)
 let finalize ~command timings engine supervisor fail_log =
-  Vdram_engine.Engine.flush_store engine;
   (match (supervisor, fail_log) with
    | Some sup, Some path ->
      Out_channel.with_open_text path (fun oc ->
@@ -229,14 +184,12 @@ let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 let exit_partial = 3
 
 (* SIGINT/SIGTERM on a batched command still leaves useful state
-   behind: the disk store is flushed, the failure report is written,
-   and the partial supervision counters are printed — the same drain
-   discipline [vdram serve] applies, through the shared Signals
-   module. *)
-let install_interrupt ~command engine supervisor fail_log =
+   behind: the failure report is written and the partial supervision
+   counters are printed, through the Signals module [vdram serve]
+   shares. *)
+let install_interrupt ~command supervisor fail_log =
   Vdram_serve.Signals.install (fun signum ->
-      Format.eprintf "@.%s: interrupted; flushing partial state@." command;
-      Vdram_engine.Engine.flush_store engine;
+      Format.eprintf "@.%s: interrupted; writing partial state@." command;
       (match (supervisor, fail_log) with
        | Some sup, Some path ->
          (try
@@ -254,7 +207,7 @@ let install_interrupt ~command engine supervisor fail_log =
 
 let run_supervised ~command ~timings ~engine ~supervisor ~fail_log body =
   let module S = Vdram_engine.Supervise in
-  install_interrupt ~command engine supervisor fail_log;
+  install_interrupt ~command supervisor fail_log;
   match body () with
   | () ->
     let failures = finalize ~command timings engine supervisor fail_log in
@@ -277,6 +230,15 @@ let run_supervised ~command ~timings ~engine ~supervisor ~fail_log body =
     ignore (finalize ~command timings engine supervisor fail_log : int);
     fail "%s: %s" command (Printexc.to_string e)
 
+(* Bad values on the command line exit 2, the code lint uses for
+   errors, before anything is printed to stdout. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("vdram: " ^ m);
+      exit 2)
+    fmt
+
 let load_config ?file ?density_mbits ?io_width ?datarate ~node () =
   match file with
   | Some path ->
@@ -286,14 +248,9 @@ let load_config ?file ?density_mbits ?io_width ?datarate ~node () =
        Error (Format.asprintf "%s: %a" path Vdram_dsl.Parser.pp_error e))
   | None ->
     let datarate =
-      match datarate with
-      | None -> None
-      | Some s ->
-        (match
-           Vdram_units.Quantity.parse_dim Vdram_units.Quantity.Datarate s
-         with
-         | Ok v -> Some v
-         | Error _ -> None)
+      match Vdram_serve.Protocol.parse_datarate datarate with
+      | Ok d -> d
+      | Error e -> usage_error "%s" e
     in
     let density_bits =
       Option.map (fun m -> m *. (2.0 ** 20.0)) density_mbits
@@ -1289,325 +1246,6 @@ let ablate_cmd =
       ret (const run $ node $ which $ engine_term $ timings_arg
          $ supervise_flags))
 
-(* ----- bench-analysis ---------------------------------------------- *)
-
-let bench_analysis_cmd =
-  let module Engine = Vdram_engine.Engine in
-  let module Store = Vdram_engine.Store in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_analysis.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  let samples =
-    Arg.(
-      value & opt int 5000
-      & info [ "samples" ] ~docv:"N"
-          ~doc:"Monte-Carlo corner samples in the workload.")
-  in
-  let bench_cache_dir =
-    Arg.(
-      value
-      & opt string (Filename.concat "_build" ".vdram-bench-cache")
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Directory for the disk-cache passes (cleared before \
-                the cold pass, so it is honestly cold).")
-  in
-  let run jobs samples out cache_dir =
-    let cfg = Vdram_configs.Devices.ddr3_2g in
-    let parallel_jobs =
-      match jobs with
-      | Some j -> max 1 j
-      | None -> max 2 (Vdram_engine.Pool.default_jobs ())
-    in
-    let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
-    (* Benchmark hygiene, applied identically to every pass: a roomy
-       minor heap — OCaml 5 minor collections are stop-the-world, and
-       with more domains than cores the cross-domain handshake, not
-       the collection, dominates — and a level major-heap start. *)
-    let gc = Gc.get () in
-    Gc.set { gc with Gc.minor_heap_size = max gc.Gc.minor_heap_size 4_194_304 };
-    (* The acceptance workload: the Fig 10 tornado, a Monte-Carlo
-       corner population, per-operation energies and one full report —
-       all on the 2G DDR3 55 nm device.  The last two read the
-       extraction cache directly, so a warm pass exercises both
-       persistent stages even when every mix lookup hits. *)
-    let pat = Pattern.idd4r cfg.Config.spec in
-    (* Every pass runs under a fresh supervisor with fault injection
-       disabled: the bench proves supervision is free of perturbation
-       (identical output) and of failures (the gate rejects a nonzero
-       count when faults are off). *)
-    let total_failures = ref 0 in
-    let faults_enabled =
-      match Vdram_engine.Faults.of_env () with
-      | Ok (Some _) -> true
-      | _ -> false
-    in
-    let workload engine =
-      let supervisor =
-        Vdram_engine.Supervise.create ~faults:Vdram_engine.Faults.none ()
-      in
-      let s = Vdram_analysis.Sensitivity.run ~engine ~supervisor cfg in
-      let c = Vdram_analysis.Corners.run ~engine ~supervisor ~samples cfg in
-      let ops =
-        List.map
-          (fun k -> Engine.op_energy engine cfg k)
-          Vdram_core.Operation.all
-      in
-      let r = Engine.eval engine cfg pat in
-      total_failures :=
-        !total_failures
-        + (Vdram_engine.Supervise.counters supervisor)
-            .Vdram_engine.Supervise.failures;
-      (s, c, ops, r)
-    in
-    (* Engine construction, the workload and the store flush are all
-       inside the timed window: the disk passes must pay for their
-       snapshot load and save, or cold vs warm would be a fiction. *)
-    let timed mk =
-      Gc.full_major ();
-      let t0 = now () in
-      let engine = mk () in
-      let r = workload engine in
-      Engine.flush_store engine;
-      (engine, r, now () -. t0)
-    in
-    let _serial_engine, serial_result, serial_s =
-      timed (fun () -> Engine.create ~jobs:1 ())
-    in
-    let parallel_engine, parallel_result, parallel_s =
-      timed (fun () -> Engine.create ~jobs:parallel_jobs ())
-    in
-    let store () = Engine.store_open ~dir:cache_dir () in
-    (* Disk timings are at the mercy of writeback and unmarshal-GC
-       noise, so each disk pass reports the best of two repetitions
-       (the clear keeps every cold repetition honestly cold). *)
-    let cold_pass () =
-      Store.clear (store ());
-      timed (fun () -> Engine.create ~jobs:1 ~store:(store ()) ())
-    in
-    let _e, cold_result, cold_t1 = cold_pass () in
-    let _e, cold_result2, cold_t2 = cold_pass () in
-    let disk_cold_s = Float.min cold_t1 cold_t2 in
-    let warm_pass () =
-      timed (fun () -> Engine.create ~jobs:1 ~store:(store ()) ())
-    in
-    let w1, warm_result, warm_t1 = warm_pass () in
-    let w2, warm_result2, warm_t2 = warm_pass () in
-    let warm_engine, disk_warm_s =
-      if warm_t2 <= warm_t1 then (w2, warm_t2) else (w1, warm_t1)
-    in
-    (* Fifth pass: the delta-extraction mechanism under its production
-       workload.  The same sensitivity-shaped batch every driver runs
-       — every lens perturbed around the nominal, at four variation
-       widths so no two configurations repeat — runs cold on two
-       fresh single-domain engines, one with the delta path disabled
-       and one with it enabled (the default), and their
-       extraction-stage compute times are compared.  The full
-       pipeline (pattern mix included) stays in the loop on purpose:
-       a full extraction's working set contends with the mix stage's
-       between items exactly as it does in a real sweep, which is
-       part of what the delta path's smaller footprint buys. *)
-    let delta_workload engine =
-      let supervisor =
-        Vdram_engine.Supervise.create ~faults:Vdram_engine.Faults.none ()
-      in
-      let rs =
-        List.map
-          (fun variation ->
-            Vdram_analysis.Sensitivity.run ~engine ~supervisor ~variation cfg)
-          [ 0.05; 0.10; 0.15; 0.20 ]
-      in
-      total_failures :=
-        !total_failures
-        + (Vdram_engine.Supervise.counters supervisor)
-            .Vdram_engine.Supervise.failures;
-      rs
-    in
-    let delta_pass delta =
-      (* Compact, not just a full major: by the fifth pass the heap
-         has grown through four workloads, and fragmentation makes
-         minor collections — some of which inevitably land inside the
-         microsecond extraction windows — cost different amounts on
-         different reps.  Starting every rep from a compacted heap is
-         what makes the reps comparable at all. *)
-      Gc.compact ();
-      let t0 = now () in
-      let engine = Engine.create ~jobs:1 ~delta () in
-      let r = delta_workload engine in
-      let wall = now () -. t0 in
-      let ext_ns =
-        (Engine.stats engine).Engine.extraction_stats.Engine.time_ns
-      in
-      (engine, r, wall, ext_ns)
-    in
-    (* Best of five, reps interleaved full/incremental: extraction
-       windows are short enough on a loaded single-core box that one
-       stray scheduling gap or GC pause in a rep visibly skews the
-       ratio, and running all of one side's reps back to back lets a
-       slow epoch (writeback, frequency dip, heap growth) land on one
-       side only.  Pairing the reps makes both sides sample the same
-       process epochs; the minimum over five is stable where two or
-       three were not, and every rep's result still has to agree bit
-       for bit. *)
-    let delta_reps = 5 in
-    let reps =
-      List.init delta_reps (fun _ -> (delta_pass false, delta_pass true))
-    in
-    let best side =
-      let picked =
-        List.fold_left
-          (fun best rep ->
-            let _, _, _, bx = best and _, _, _, x = rep in
-            if x < bx then rep else best)
-          (side (List.hd reps))
-          (List.map side (List.tl reps))
-      in
-      let wall =
-        List.fold_left
-          (fun a rep ->
-            let _, _, w, _ = side rep in
-            Float.min a w)
-          infinity reps
-      in
-      let e, r, _, x = picked in
-      let _, r0, _, _ = side (List.hd reps) in
-      ( (e, r, wall, x),
-        List.for_all
-          (fun rep ->
-            let _, rr, _, _ = side rep in
-            rr = r0)
-          reps )
-    in
-    let (_full_e, full_r, full_wall_s, full_ext_ns), full_stable =
-      best fst
-    in
-    let (incr_e, incr_r, incr_wall_s, incr_ext_ns), incr_stable =
-      best snd
-    in
-    let delta_identical = full_stable && incr_stable && full_r = incr_r in
-    let delta_speedup =
-      float_of_int full_ext_ns /. Float.max 1.0 (float_of_int incr_ext_ns)
-    in
-    let dstats = (Engine.stats incr_e).Engine.delta_stats in
-    let delta_dirtied_total =
-      List.fold_left
-        (fun acc (_, n) -> acc + n)
-        0 dstats.Engine.groups_dirtied
-    in
-    (* The determinism contract, checked structurally: every float of
-       every run must agree bit for bit. *)
-    let identical =
-      serial_result = parallel_result
-      && serial_result = cold_result
-      && serial_result = cold_result2
-      && serial_result = warm_result
-      && serial_result = warm_result2
-    in
-    let speedup = serial_s /. Float.max 1e-9 parallel_s in
-    let disk_speedup = disk_cold_s /. Float.max 1e-9 disk_warm_s in
-    let warm_stats = Engine.stats warm_engine in
-    let warm_ext_hits = warm_stats.Engine.extraction_stats.Engine.hits in
-    let warm_mix_hits = warm_stats.Engine.mix_stats.Engine.hits in
-    let stage name (s : Engine.stage_stats) =
-      Printf.sprintf
-        "{\"stage\":%S,\"hits\":%d,\"misses\":%d,\"time_ms\":%.3f}" name
-        s.Engine.hits s.Engine.misses
-        (float_of_int s.Engine.time_ns /. 1e6)
-    in
-    let stage_list engine =
-      let st = Engine.stats engine in
-      String.concat ","
-        [
-          stage "geometry" st.Engine.geometry_stats;
-          stage "extraction" st.Engine.extraction_stats;
-          stage "mix" st.Engine.mix_stats;
-        ]
-    in
-    let machine_class =
-      Printf.sprintf "%s-%dcore"
-        (String.lowercase_ascii Sys.os_type)
-        (Domain.recommended_domain_count ())
-    in
-    let json =
-      Printf.sprintf
-        "{\n\
-        \  \"device\": %S,\n\
-        \  \"workload\": \"sensitivity + corners(%d samples) + op \
-         energies\",\n\
-        \  \"machine_class\": %S,\n\
-        \  \"jobs_serial\": 1,\n\
-        \  \"jobs_parallel\": %d,\n\
-        \  \"serial_s\": %.6f,\n\
-        \  \"parallel_s\": %.6f,\n\
-        \  \"speedup\": %.3f,\n\
-        \  \"disk_cold_s\": %.6f,\n\
-        \  \"disk_warm_s\": %.6f,\n\
-        \  \"disk_speedup\": %.3f,\n\
-        \  \"delta_full_s\": %.6f,\n\
-        \  \"delta_incr_s\": %.6f,\n\
-        \  \"delta_full_extraction_ms\": %.3f,\n\
-        \  \"delta_incr_extraction_ms\": %.3f,\n\
-        \  \"delta_speedup\": %.3f,\n\
-        \  \"delta_identical\": %b,\n\
-        \  \"delta_attempts\": %d,\n\
-        \  \"delta_fallbacks\": %d,\n\
-        \  \"delta_groups_spliced\": %d,\n\
-        \  \"delta_groups_dirtied\": %d,\n\
-        \  \"warm_extraction_hits\": %d,\n\
-        \  \"warm_mix_hits\": %d,\n\
-        \  \"cache_dir\": %S,\n\
-        \  \"identical_output\": %b,\n\
-        \  \"failures\": %d,\n\
-        \  \"faults_enabled\": %b,\n\
-        \  \"parallel_stages\": [%s],\n\
-        \  \"warm_stages\": [%s]\n\
-         }\n"
-        cfg.Config.name samples machine_class parallel_jobs serial_s
-        parallel_s speedup disk_cold_s disk_warm_s disk_speedup full_wall_s
-        incr_wall_s
-        (float_of_int full_ext_ns /. 1e6)
-        (float_of_int incr_ext_ns /. 1e6)
-        delta_speedup delta_identical dstats.Engine.delta_attempts
-        dstats.Engine.delta_fallbacks dstats.Engine.groups_spliced
-        delta_dirtied_total warm_ext_hits warm_mix_hits cache_dir identical
-        !total_failures faults_enabled
-        (stage_list parallel_engine)
-        (stage_list warm_engine)
-    in
-    Out_channel.with_open_text out (fun oc ->
-        Out_channel.output_string oc json);
-    Format.printf
-      "device %s (%s) | serial %.3f s | parallel (%d jobs) %.3f s | \
-       speedup %.2fx@.disk cold %.3f s | disk warm %.3f s | disk speedup \
-       %.2fx | warm hits %d ext / %d mix@.delta extraction %.2f ms full \
-       -> %.2f ms incremental | delta speedup %.2fx | %d attempts, %d \
-       fallbacks, %d spliced / %d dirtied groups@.identical %b | delta \
-       identical %b | wrote %s@."
-      cfg.Config.name machine_class serial_s parallel_jobs parallel_s
-      speedup disk_cold_s disk_warm_s disk_speedup warm_ext_hits
-      warm_mix_hits
-      (float_of_int full_ext_ns /. 1e6)
-      (float_of_int incr_ext_ns /. 1e6)
-      delta_speedup dstats.Engine.delta_attempts
-      dstats.Engine.delta_fallbacks dstats.Engine.groups_spliced
-      delta_dirtied_total identical delta_identical out;
-    if identical && delta_identical then `Ok ()
-    else if not identical then
-      fail "parallel/disk outputs differ from the serial output"
-    else fail "delta-extraction output differs from the full extraction"
-  in
-  let doc =
-    "Benchmark the staged engine: the sensitivity + corners workload run \
-     serially, on the domain pool, and twice against the persistent disk \
-     cache (cold, then warm), plus a delta pass comparing full versus \
-     incremental extraction on a sensitivity-shaped workload, with \
-     per-stage cache counters, written as JSON."
-  in
-  Cmd.v (Cmd.info "bench-analysis" ~doc)
-    Term.(ret (const run $ jobs_arg $ samples $ out $ bench_cache_dir))
-
 (* ----- export ------------------------------------------------------- *)
 
 let export_cmd =
@@ -1804,5 +1442,5 @@ let () =
        (Cmd.group info
           [ power_cmd; verify_cmd; sensitivity_cmd; trends_cmd; schemes_cmd;
             simulate_cmd; corners_cmd; states_cmd; ablate_cmd;
-            bench_analysis_cmd; export_cmd; validate_cmd; lint_cmd;
+            export_cmd; validate_cmd; lint_cmd;
             check_cmd; advise_cmd; channel_cmd; dump_cmd; serve_cmd ]))

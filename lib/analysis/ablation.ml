@@ -45,9 +45,6 @@ let point_check p =
    supervision a failed variant is dropped from the listing and
    recorded on the supervisor. *)
 let measure_all ?supervisor ?base ~engine variants =
-  (match base with
-  | Some b -> ignore (Engine.extraction engine b)
-  | None -> ());
   Supervise.map_jobs ?supervisor engine ~check:point_check
     (fun (label, cfg) -> measure ?base ~engine ~label cfg)
     variants
@@ -63,9 +60,9 @@ let build ?engine ?supervisor ~node f =
           ?prefetch ~node ())
   in
   (* Every variant is the commodity configuration at [node] with one
-     design choice changed: warm the unmodified configuration's
-     extraction and splice each variant's untouched circuit groups
-     from it. *)
+     design choice changed: the unmodified configuration is the delta
+     base, and each variant splices its untouched circuit groups from
+     it. *)
   measure_all ?supervisor ~base:(Config.commodity ~node ()) ~engine variants
 
 let page_size ?engine ?supervisor ~node ~pages () =

@@ -33,7 +33,7 @@ let run ?engine ?supervisor ?(variation = 0.20) ?(lenses = default_lenses)
     | Some p -> p
     | None -> Pattern.idd7_mixed cfg.Config.spec
   in
-  let nominal = Engine.power engine cfg pattern in
+  let nominal = Engine.power ~base:cfg engine cfg pattern in
   (* One job per perturbed configuration; the pool evaluates the batch
      and the ordered merge pairs results back up with their lenses. *)
   let perturbed =
@@ -49,8 +49,9 @@ let run ?engine ?supervisor ?(variation = 0.20) ?(lenses = default_lenses)
     if Float.is_finite p then None else Some "non-finite power"
   in
   (* Every perturbed configuration is one lens away from [cfg], whose
-     extraction the nominal evaluation above just cached: offering it
-     as the delta base re-extracts only the lens's dirty groups. *)
+     extraction the nominal evaluation above left in the engine's base
+     slot: offering it as the delta base re-extracts only the lens's
+     dirty groups. *)
   let powers =
     Supervise.map_jobs ?supervisor engine ~check
       (fun c -> Engine.power ~base:cfg engine c pattern)

@@ -29,10 +29,9 @@ let run ?engine ?supervisor ~lens ~values ?pattern cfg =
     | Some p -> p
     | None -> Pattern.idd7_mixed cfg.Config.spec
   in
-  (* Warm the nominal extraction, then sweep with it as the delta
-     base: every point differs from [cfg] in one lens, so only that
-     lens's dirty groups re-extract per point. *)
-  ignore (Engine.extraction engine cfg);
+  (* Sweep with the nominal point as the delta base: every point
+     differs from [cfg] in one lens, so only that lens's dirty groups
+     re-extract per point. *)
   let outcomes =
     Supervise.map_jobs ?supervisor engine ~check:Supervise.finite_report
       (fun value ->

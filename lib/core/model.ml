@@ -91,16 +91,11 @@ let bits_per_loop (spec : Spec.t) pattern =
 (* ----- staged evaluation seams ------------------------------------- *)
 
 (* Bump whenever the physics changes in any way that can alter a
-   computed number — or, as for ".2", whenever the marshalled
-   [extraction] representation changes: the staged engine stamps its
-   persistent cache with this, so stale on-disk entries are discarded
-   instead of served. *)
+   computed number; certificates are stamped with it. *)
 let version = "model-2026-08.3"
 
 (* The name identifies a configuration to humans, not to physics: two
-   configurations differing only in [name] share every stage output.
-   This projection is the content identity the engine's extraction and
-   pattern-mix caches key on. *)
+   configurations differing only in [name] share every stage output. *)
 let physics_projection (cfg : Config.t) = { cfg with Config.name = "" }
 
 (* ----- per-group sub-keys ------------------------------------------ *)
@@ -595,9 +590,8 @@ let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
             (* One [land] against the operation's static plan mask
                decides whether any of its chunks can be dirty — sound
                because every base this binary produced built its
-               segments from the same plan (a marshalled base from a
-               different build is rejected upstream by the store's
-               model-version stamp). *)
+               segments from the same plan; bases are never read back
+               from disk. *)
             if Operation.plan_mask kind land dirty_mask = 0 then
               (* No dirty group reaches this operation: keep the base's
                  segment array — physically when the efficiencies allow,

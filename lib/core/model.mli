@@ -53,15 +53,14 @@ val bits_per_loop : Spec.t -> Pattern.t -> float
     {!Spec.bits_per_column_command}.  Zero for data-less patterns. *)
 
 val version : string
-(** A stamp that changes whenever the model's physics changes.  The
-    staged engine writes it into its persistent cache header, so
-    results computed by an older model are discarded, never served. *)
+(** A stamp that changes whenever the model's physics changes;
+    certificates carry it, so a certificate names the model that
+    produced it. *)
 
 val physics_projection : Config.t -> Config.t
 (** The configuration with its [name] cleared — exactly the fields the
     physics reads.  Two configurations with equal projections produce
-    bit-identical stage outputs; the engine fingerprints this value to
-    key its extraction and pattern-mix caches. *)
+    bit-identical stage outputs. *)
 
 type extraction
 (** The capacitance-extraction stage: per-operation contribution lists
@@ -69,8 +68,7 @@ type extraction
     stored as the per-circuit-group segments that produced them, with
     each contribution's supply energy precomputed and its breakdown
     label interned to a dense id.  The pattern-mix stage only reads
-    this record, so several patterns can be evaluated — or the record
-    cached behind a content key, as [Vdram_engine] does — without
+    this record, so several patterns can be evaluated without
     re-extracting; and {!extract_delta} can splice the clean segments
     of a base extraction, recomputing only dirtied groups. *)
 
@@ -98,7 +96,7 @@ val extract_delta :
   base:extraction ->
   Config.t ->
   extraction * delta_outcome
-(** Incremental extraction against a cached base: classifies each
+(** Incremental extraction against a base extraction: classifies each
     circuit group clean or dirty by running compiled field-by-field
     predicates over exactly the values the group's charge model reads
     (the same read sets {!group_key} digests — a qcheck property

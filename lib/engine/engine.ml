@@ -1,15 +1,12 @@
-(* Staged evaluation: fingerprint-keyed sharded stage caches + a
-   chunked domain pool + an optional persistent store. *)
+(* Direct staged evaluation: every item runs geometry, extraction
+   (delta against its batch's base) and the mix kernel; the only state
+   is a one-slot base-extraction memo and the pool size. *)
 
 module Config = Vdram_core.Config
 module Model = Vdram_core.Model
-module Operation = Vdram_core.Operation
 module Pattern = Vdram_core.Pattern
 module Report = Vdram_core.Report
 module Floorplan = Vdram_floorplan.Floorplan
-module C = Vdram_circuits.Contribution
-module Fp = Fingerprint
-module Fp_tbl = Hashtbl.Make (Fingerprint)
 
 type geometry = {
   geometry : Vdram_floorplan.Array_geometry.t;
@@ -19,84 +16,17 @@ type geometry = {
   array_efficiency : float;
 }
 
-(* ----- sharded caches ---------------------------------------------- *)
-
-(* Each stage cache is striped over [nshards] independently locked
-   hash tables; the shard is picked from the key's fingerprint, so two
-   domains evaluating different configurations almost never contend on
-   the same mutex.  Critical sections are a single find or replace —
-   stage computation always happens outside any lock (stages are pure,
-   so a rare duplicate computation is just the same value computed
-   twice, and last-write-wins stores the same bits). *)
-
-let nshards = 16 (* power of two: shard index is a fingerprint mask *)
-
-type 'v shard = { lock : Mutex.t; tbl : 'v Fp_tbl.t }
-type 'v cache = 'v shard array
-
-let cache_create () : 'v cache =
-  Array.init nshards (fun _ ->
-      { lock = Mutex.create (); tbl = Fp_tbl.create 64 })
-
-let shard_of (cache : 'v cache) fp = cache.(Fp.hash fp land (nshards - 1))
-
-let cache_entries (cache : 'v cache) =
-  Array.to_list cache
-  |> List.concat_map (fun s ->
-         Mutex.lock s.lock;
-         let xs = Fp_tbl.fold (fun k v acc -> (k, v) :: acc) s.tbl [] in
-         Mutex.unlock s.lock;
-         xs)
-
-(* Per-stage counters; atomics because the pool's worker domains share
-   the engine. *)
-type counters = {
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  time_ns : int Atomic.t;
-}
-
-let counters () =
-  { hits = Atomic.make 0; misses = Atomic.make 0; time_ns = Atomic.make 0 }
-
-(* Delta-extraction counters: attempts that found a cached base,
-   full-extract fallbacks (structural splice mismatch), spliced clean
-   groups, and per-group dirty counts indexed by [C.group_index]. *)
-type delta_counters = {
-  attempts : int Atomic.t;
-  fallbacks : int Atomic.t;
-  spliced : int Atomic.t;
-  dirtied : int Atomic.t array;
-}
-
-let delta_counters () =
-  {
-    attempts = Atomic.make 0;
-    fallbacks = Atomic.make 0;
-    spliced = Atomic.make 0;
-    dirtied = Array.init C.group_count (fun _ -> Atomic.make 0);
-  }
-
+(* The base slot holds one immutable (configuration, extraction) pair,
+   read and replaced atomically, so worker domains and the serve
+   daemon's connection threads can share it: a reader either sees a
+   pair whose configuration is physically its base, and uses that
+   pair's extraction, or recomputes.  Last writer wins. *)
 type t = {
   jobs : int;
-  delta : bool;
-  geom_cache : geometry cache;
-  ext_cache : Model.extraction cache;
-  mix_cache : Report.t cache;
-  geom_c : counters;
-  ext_c : counters;
-  mix_c : counters;
-  delta_c : delta_counters;
-  store : Store.t option;
-  preloaded : int * int;
-  discarded : int;
-  (* Miss counts at the last flush, per persistent stage: a flush only
-     writes a stage that has missed since the previous one, so a
-     long-lived engine (the serve daemon) can call [flush_store] after
-     every request and pay nothing when the caches are clean. *)
-  flushed_ext : int Atomic.t;
-  flushed_mix : int Atomic.t;
+  base : (Config.t * Model.extraction) option Atomic.t;
 }
+
+type store = unit
 
 exception Stage_error of string * exn
 
@@ -108,168 +38,19 @@ let () =
            (Printexc.to_string inner))
     | _ -> None)
 
-(* ----- persistent store -------------------------------------------- *)
-
-(* The store stamp ties a snapshot to both the physics and the
-   fingerprint scheme: results computed by an older model, or keyed by
-   an older scheme, are discarded on load. *)
-let store_version = Model.version ^ "+" ^ Fp.scheme_version
-
-let store_open ?dir ?max_bytes () =
-  Store.open_ ?dir ?max_bytes ~version:store_version ()
-
-(* Preload returns (entries, discarded): a Corrupt read counts as one
-   discarded snapshot (the store has already quarantined the file) and
-   the stage simply starts cold. *)
-let preload (cache : 'v cache) (entries : (Fp.t * 'v) array Store.read) =
-  match entries with
-  | Store.Missing -> (0, 0)
-  | Store.Corrupt _ -> (0, 1)
-  | Store.Hit arr ->
-    Array.iter
-      (fun (fp, v) ->
-        let s = shard_of cache fp in
-        Fp_tbl.replace s.tbl fp v)
-      arr;
-    (Array.length arr, 0)
-
-let create ?jobs ?store ?(delta = true) () =
+let create ?jobs ?store () =
+  ignore (store : store option);
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
-  let geom_cache = cache_create () in
-  let ext_cache : Model.extraction cache = cache_create () in
-  let mix_cache : Report.t cache = cache_create () in
-  let preloaded, discarded =
-    match store with
-    | None -> ((0, 0), 0)
-    | Some st ->
-      let ext, dext =
-        preload ext_cache
-          (Store.read st ~name:"extraction"
-            : (Fp.t * Model.extraction) array Store.read)
-      in
-      let mix, dmix =
-        preload mix_cache
-          (Store.read st ~name:"mix" : (Fp.t * Report.t) array Store.read)
-      in
-      ((ext, mix), dext + dmix)
-  in
-  {
-    jobs;
-    delta;
-    geom_cache;
-    ext_cache;
-    mix_cache;
-    geom_c = counters ();
-    ext_c = counters ();
-    mix_c = counters ();
-    delta_c = delta_counters ();
-    store;
-    preloaded;
-    discarded;
-    flushed_ext = Atomic.make 0;
-    flushed_mix = Atomic.make 0;
-  }
+  { jobs; base = Atomic.make None }
 
 let serial () = create ~jobs:1 ()
 let jobs t = t.jobs
-let delta_enabled t = t.delta
-let store t = t.store
-let preloaded t = t.preloaded
-let discarded t = t.discarded
 
-let store_dirty t =
-  t.store <> None
-  && (Atomic.get t.ext_c.misses > Atomic.get t.flushed_ext
-      || Atomic.get t.mix_c.misses > Atomic.get t.flushed_mix)
-
-let flush_store t =
-  match t.store with
-  | None -> ()
-  | Some st ->
-    (* Persist without witnesses: on disk the 128-bit digest is the
-       identity (see Fingerprint.trusted), which keeps snapshots at a
-       fraction of the in-memory footprint.  A stage that has not
-       missed since the last flush holds nothing its snapshot lacks,
-       so skip it — a fully warm run costs a load but no save, an idle
-       engine never clobbers a good snapshot with an empty one, and a
-       resident engine that flushes after every request only pays when
-       something new was computed. *)
-    let dump cache =
-      Array.of_list
-        (List.map (fun (fp, v) -> (Fp.trusted fp, v)) (cache_entries cache))
-    in
-    let ext_misses = Atomic.get t.ext_c.misses in
-    if ext_misses > Atomic.get t.flushed_ext then begin
-      Store.save st ~name:"extraction" (dump t.ext_cache);
-      Atomic.set t.flushed_ext ext_misses
-    end;
-    let mix_misses = Atomic.get t.mix_c.misses in
-    if mix_misses > Atomic.get t.flushed_mix then begin
-      Store.save st ~name:"mix" (dump t.mix_cache);
-      Atomic.set t.flushed_mix mix_misses
-    end
-
-(* ----- fingerprint keys -------------------------------------------- *)
-
-(* A fingerprint is computed once per value and reused across every
-   stage lookup it feeds.  The memo is domain-local and keyed on
-   physical identity: all stage lookups for one configuration (mix ->
-   extraction -> geometry, op_energy after eval, ...) arrive with the
-   same immutable [Config.t] in hand, so one marshal serves them all.
-   Patterns repeat across whole batches (every sample of a corners run
-   shares the pattern value), so their memo hits almost always. *)
-
-let cfg_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let geom_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let pat_fp_memo : (Pattern.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let config_fp (cfg : Config.t) =
-  match Domain.DLS.get cfg_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp = Fp.of_value (Model.physics_projection cfg) in
-    Domain.DLS.set cfg_fp_memo (Some (cfg, fp));
-    fp
-
-let geometry_fp (cfg : Config.t) =
-  match Domain.DLS.get geom_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp =
-      Fp.of_value (cfg.Config.floorplan, cfg.Config.activation_fraction)
-    in
-    Domain.DLS.set geom_fp_memo (Some (cfg, fp));
-    fp
-
-let pattern_fp (p : Pattern.t) =
-  match Domain.DLS.get pat_fp_memo with
-  | Some (q, fp) when q == p -> fp
-  | _ ->
-    let fp = Fp.of_value p in
-    Domain.DLS.set pat_fp_memo (Some (p, fp));
-    fp
-
-(* The delta path fingerprints the *base* configuration on every
-   perturbed item, so it gets its own memo slot: the perturbed
-   configurations churn through [cfg_fp_memo] while the base — shared
-   by the whole batch — stays memoized here. *)
-let base_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let base_fp (cfg : Config.t) =
-  match Domain.DLS.get base_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp = Fp.of_value (Model.physics_projection cfg) in
-    Domain.DLS.set base_fp_memo (Some (cfg, fp));
-    fp
+(* Benchmark shims; see engine.mli. *)
+let store_open ~dir () = ignore (dir : string)
+let flush_store (_ : t) = ()
 
 (* Dense per-pattern command counts for the flat mix kernel, computed
    once per pattern per domain — batches share one pattern value, so
@@ -287,35 +68,11 @@ let pattern_counts (p : Pattern.t) =
 
 (* ----- stages ------------------------------------------------------ *)
 
-(* Per-miss timing uses the monotonic clock: wall-clock deltas
-   (gettimeofday) can go backwards under NTP adjustment and corrupt
-   the accumulators with negative nanoseconds. *)
-let cached cache c fp compute =
-  let s = shard_of cache fp in
-  Mutex.lock s.lock;
-  let found = Fp_tbl.find_opt s.tbl fp in
-  Mutex.unlock s.lock;
-  match found with
-  | Some v ->
-    Atomic.incr c.hits;
-    v
-  | None ->
-    let t0 = Monotonic_clock.now () in
-    let v = compute () in
-    let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-    Atomic.incr c.misses;
-    ignore (Atomic.fetch_and_add c.time_ns dt);
-    Mutex.lock s.lock;
-    Fp_tbl.replace s.tbl fp v;
-    Mutex.unlock s.lock;
-    v
-
 (* Under a supervised item (Faults.with_item context), a stage failure
    is tagged with the stage it escaped from so the failure record can
    attribute it; the innermost stage wins (an inner Stage_error passes
    through unchanged).  Outside supervision exceptions propagate
-   exactly as before — the unsupervised engine is byte-for-byte the
-   old one. *)
+   unwrapped. *)
 let guard stage f =
   if not (Faults.supervised ()) then f ()
   else
@@ -325,133 +82,53 @@ let guard stage f =
       let bt = Printexc.get_raw_backtrace () in
       Printexc.raise_with_backtrace (Stage_error (stage, e)) bt
 
-(* Fault hooks fire at stage {e entry}, before any cache lookup, so
-   whether an item is faulted never depends on what happens to be
-   cached.  The mix hook is exact (eval runs once per item); geometry
-   and extraction hooks only fire when the mix stage actually recurses
-   into them, i.e. on a mix-cache miss. *)
+(* Every stage entry fires its fault hook first, so whether an item is
+   faulted depends only on (seed, batch, index). *)
+let stage s f =
+  Faults.stage_hook s;
+  guard (Faults.stage_name s) f
 
-let geometry t (cfg : Config.t) =
-  Faults.stage_hook Faults.Geometry;
-  guard "geometry" (fun () ->
-      cached t.geom_cache t.geom_c (geometry_fp cfg) (fun () ->
-          {
-            geometry = Config.geometry cfg;
-            page_bits = Config.page_bits cfg;
-            activated_bits = Config.activated_bits cfg;
-            die_area = Floorplan.die_area cfg.Config.floorplan;
-            array_efficiency = Floorplan.array_efficiency cfg.Config.floorplan;
-          }))
-
-(* A raw cache probe: find without computing, for base-extraction
-   lookups on the delta path.  No hook fires and no counter moves —
-   the probe is not a stage entry, so supervision semantics (which
-   items fault) are identical with delta on or off. *)
-let cache_find cache fp =
-  let s = shard_of cache fp in
-  Mutex.lock s.lock;
-  let found = Fp_tbl.find_opt s.tbl fp in
-  Mutex.unlock s.lock;
-  found
-
-(* The base extraction is likewise memoized per domain on physical
-   identity: a batch offers one base for thousands of items, so the
-   fingerprint and shard probe should run once, not per item.
-   Value-correct across engines sharing a domain because extraction is
-   a pure function of the configuration's physics projection — any
-   memoized record for this identical value is bit-identical to what a
-   fresh probe would find or a full extract would compute. *)
-let base_ex_memo : (Config.t * Model.extraction) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let geometry _t (cfg : Config.t) =
+  stage Faults.Geometry (fun () ->
+      {
+        geometry = Config.geometry cfg;
+        page_bits = Config.page_bits cfg;
+        activated_bits = Config.activated_bits cfg;
+        die_area = Floorplan.die_area cfg.Config.floorplan;
+        array_efficiency = Floorplan.array_efficiency cfg.Config.floorplan;
+      })
 
 let base_extraction t (b : Config.t) =
-  match Domain.DLS.get base_ex_memo with
-  | Some (c, ex) when c == b -> Some ex
+  match Atomic.get t.base with
+  | Some (c, ex) when c == b -> ex
   | _ ->
-    (match cache_find t.ext_cache (base_fp b) with
-    | Some ex ->
-      Domain.DLS.set base_ex_memo (Some (b, ex));
-      Some ex
-    | None -> None)
+    let ex = Model.extract b in
+    Atomic.set t.base (Some (b, ex));
+    ex
 
-let record_delta t (o : Model.delta_outcome) =
-  Atomic.incr t.delta_c.attempts;
-  if o.Model.fallback then Atomic.incr t.delta_c.fallbacks
-  else begin
-    ignore (Atomic.fetch_and_add t.delta_c.spliced o.Model.spliced);
-    List.iter
-      (fun g -> Atomic.incr t.delta_c.dirtied.(C.group_index g))
-      o.Model.dirtied
-  end
-
-(* [base] offers a configuration whose extraction is likely cached
-   (the nominal point of a sensitivity sweep, the seed of a corners
-   draw): on a miss, the extraction stage re-extracts only the circuit
-   groups whose per-group sub-key differs from the base's and splices
-   the rest.  Purely an access-path optimization — the spliced record
-   is bit-identical to a full extraction, so the cache content does
-   not depend on how it was computed.  If the base extraction is not
-   cached (or delta is disabled on the engine) the stage silently runs
-   the full extraction. *)
 let extraction ?base t (cfg : Config.t) =
-  Faults.stage_hook Faults.Extraction;
-  guard "extraction" (fun () ->
-      let fp = config_fp cfg in
-      let s = shard_of t.ext_cache fp in
-      Mutex.lock s.lock;
-      let found = Fp_tbl.find_opt s.tbl fp in
-      Mutex.unlock s.lock;
-      match found with
-      | Some v ->
-        Atomic.incr t.ext_c.hits;
-        v
-      | None ->
-        (* Geometry is its own stage with its own timer: resolve it
-           before starting extraction's clock so the per-stage time
-           attributions stay disjoint. *)
-        let g = geometry t cfg in
-        let from_base =
-          match base with
-          | Some b when t.delta && b != cfg -> base_extraction t b
-          | _ -> None
-        in
-        let t0 = Monotonic_clock.now () in
-        let v, outcome =
-          match from_base with
-          | Some bex ->
-            let ex, o =
-              Model.extract_delta ~activated_bits:g.activated_bits
-                ~geometry:g.geometry ~base:bex cfg
-            in
-            (ex, Some o)
-          | None ->
-            ( Model.extract ~activated_bits:g.activated_bits
-                ~geometry:g.geometry cfg,
-              None )
-        in
-        let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-        Atomic.incr t.ext_c.misses;
-        ignore (Atomic.fetch_and_add t.ext_c.time_ns dt);
-        Option.iter (record_delta t) outcome;
-        Mutex.lock s.lock;
-        Fp_tbl.replace s.tbl fp v;
-        Mutex.unlock s.lock;
-        v)
+  match base with
+  | Some b when b == cfg ->
+    stage Faults.Geometry ignore;
+    stage Faults.Extraction (fun () -> base_extraction t cfg)
+  | _ ->
+    let geometry, activated_bits =
+      stage Faults.Geometry (fun () ->
+          (Config.geometry cfg, Config.activated_bits cfg))
+    in
+    stage Faults.Extraction (fun () ->
+        match base with
+        | None -> Model.extract ~activated_bits ~geometry cfg
+        | Some b ->
+          fst
+            (Model.extract_delta ~activated_bits ~geometry
+               ~base:(base_extraction t b) cfg))
 
 let eval ?base t (cfg : Config.t) pattern =
-  Faults.stage_hook Faults.Mix;
-  guard "mix" (fun () ->
-      let fp = Fp.combine [ config_fp cfg; pattern_fp pattern ] in
-      let r =
-        cached t.mix_cache t.mix_c fp (fun () ->
-            let ex = extraction ?base t cfg in
-            let r =
-              Model.pattern_power_staged ~counts:(pattern_counts pattern) ex
-                cfg pattern
-            in
-            { r with Report.config_name = "" })
-      in
-      { r with Report.config_name = cfg.Config.name })
+  stage Faults.Mix (fun () ->
+      let ex = extraction ?base t cfg in
+      Model.pattern_power_staged ~counts:(pattern_counts pattern) ex cfg
+        pattern)
 
 let power ?base t cfg pattern = (eval ?base t cfg pattern).Report.power
 let current ?base t cfg pattern = (eval ?base t cfg pattern).Report.current
@@ -464,93 +141,10 @@ let op_energy ?base t cfg kind =
 
 let map_jobs t f xs = Pool.map ~jobs:t.jobs f xs
 
-type stage_stats = { hits : int; misses : int; time_ns : int }
+(* Benchmark shim; see engine.mli. *)
+type stage_stats = { hits : int; misses : int }
+type stats = { extraction_stats : stage_stats; mix_stats : stage_stats }
 
-type delta_stats = {
-  delta_attempts : int;
-  delta_fallbacks : int;
-  groups_spliced : int;
-  groups_dirtied : (string * int) list;  (** group name, dirty count *)
-}
-
-type stats = {
-  geometry_stats : stage_stats;
-  extraction_stats : stage_stats;
-  mix_stats : stage_stats;
-  delta_stats : delta_stats;
-}
-
-let stage_stats (c : counters) =
-  {
-    hits = Atomic.get c.hits;
-    misses = Atomic.get c.misses;
-    time_ns = Atomic.get c.time_ns;
-  }
-
-let delta_stats (c : delta_counters) =
-  {
-    delta_attempts = Atomic.get c.attempts;
-    delta_fallbacks = Atomic.get c.fallbacks;
-    groups_spliced = Atomic.get c.spliced;
-    groups_dirtied =
-      List.map
-        (fun g -> (C.group_name g, Atomic.get c.dirtied.(C.group_index g)))
-        C.groups;
-  }
-
-let stats t =
-  {
-    geometry_stats = stage_stats t.geom_c;
-    extraction_stats = stage_stats t.ext_c;
-    mix_stats = stage_stats t.mix_c;
-    delta_stats = delta_stats t.delta_c;
-  }
-
-let reset_counters (c : counters) =
-  Atomic.set c.hits 0;
-  Atomic.set c.misses 0;
-  Atomic.set c.time_ns 0
-
-let reset_stats t =
-  reset_counters t.geom_c;
-  reset_counters t.ext_c;
-  reset_counters t.mix_c;
-  (* Dirty tracking follows the miss counters: after a reset the next
-     flush must re-examine both stages rather than compare against a
-     stale high-water mark. *)
-  Atomic.set t.flushed_ext 0;
-  Atomic.set t.flushed_mix 0;
-  Atomic.set t.delta_c.attempts 0;
-  Atomic.set t.delta_c.fallbacks 0;
-  Atomic.set t.delta_c.spliced 0;
-  Array.iter (fun a -> Atomic.set a 0) t.delta_c.dirtied
-
-let pp_stage ppf (name, s) =
-  Format.fprintf ppf "%-10s %6d hit %6d miss  %8.3f ms" name s.hits s.misses
-    (float_of_int s.time_ns /. 1e6)
-
-let pp_delta ppf (d : delta_stats) =
-  let total_dirtied =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 d.groups_dirtied
-  in
-  Format.fprintf ppf
-    "%-10s %6d delta %5d full  %d dirtied / %d spliced groups" "extraction"
-    d.delta_attempts d.delta_fallbacks total_dirtied d.groups_spliced;
-  let nonzero = List.filter (fun (_, n) -> n > 0) d.groups_dirtied in
-  if nonzero <> [] then begin
-    Format.fprintf ppf "@,%-10s " "";
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      (fun ppf (name, n) -> Format.fprintf ppf "%s %d" name n)
-      ppf nonzero
-  end
-
-let pp_stats ppf s =
-  Format.fprintf ppf "@[<v>%a@,%a@,%a" pp_stage
-    ("geometry", s.geometry_stats)
-    pp_stage
-    ("extraction", s.extraction_stats)
-    pp_stage ("mix", s.mix_stats);
-  if s.delta_stats.delta_attempts > 0 then
-    Format.fprintf ppf "@,%a" pp_delta s.delta_stats;
-  Format.fprintf ppf "@]"
+let stats (_ : t) =
+  let zero = { hits = 0; misses = 0 } in
+  { extraction_stats = zero; mix_stats = zero }

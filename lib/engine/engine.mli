@@ -1,18 +1,21 @@
-(** Staged evaluation engine: the Figure 4 pipeline split into pure,
-    content-cached stages, with a domain pool for batch evaluation.
+(** Batch evaluation engine: the Figure 4 pipeline run directly, item
+    by item, with a domain pool for batches.
 
     A model run decomposes as
 
     {v config -> geometry -> extraction -> pattern mix -> report v}
 
-    and each stage output is memoized behind a {!Fingerprint.t} of
-    exactly the inputs that stage reads.  Perturbing a voltage lens
-    therefore re-runs extraction and mix but replays geometry from
-    cache; re-evaluating one configuration against several patterns
-    replays both geometry and extraction.  Caches are striped over
-    independently locked shards, so worker domains rarely contend.
-    See [doc/ENGINE.md] for the stage graph, the cache keys, the
-    on-disk format and the determinism contract. *)
+    and every call runs each stage afresh: nothing is keyed, cached or
+    persisted per item.  A batch of small perturbations of one
+    configuration (a sensitivity sweep, a corners population, a
+    scheme's transform) names that configuration as its [~base]; each
+    item then re-extracts only the circuit groups its perturbation
+    dirties ({!Vdram_core.Model.extract_delta}) and splices the rest
+    from the base's extraction.  The engine holds exactly one base
+    extraction, in a one-slot memo keyed on the base configuration's
+    physical identity, so memory stays flat in the batch size.  See
+    [doc/ENGINE.md] for the stage graph, the memo and the determinism
+    contract. *)
 
 type t
 
@@ -21,21 +24,18 @@ exception Stage_error of string * exn
     [extraction] or [mix]) the exception escaped from, and the
     original exception.  Only raised while a {!Supervise} item context
     is active ({!Faults.supervised}); outside supervision stage
-    exceptions propagate unwrapped, exactly as they always have. *)
+    exceptions propagate unwrapped. *)
 
-val create : ?jobs:int -> ?store:Store.t -> ?delta:bool -> unit -> t
+type store
+(** Inert handle kept only for the benchmark, which still compiles
+    against the retired persistent store.  It holds nothing.  Remove
+    it with the benchmark change that retires the [cache.*] and
+    [store.*] layer metrics. *)
+
+val create : ?jobs:int -> ?store:store -> unit -> t
 (** A fresh engine.  [jobs] bounds the domain pool used by
     {!map_jobs}; it defaults to {!Pool.default_jobs} (which honours
-    [VDRAM_JOBS]).  [store] attaches a persistent cross-process cache:
-    extraction and pattern-mix snapshots are loaded from it
-    immediately and written back by {!flush_store}.  A stale or
-    corrupt snapshot is not silently discarded: the store quarantines
-    the file, and {!discarded} counts the stages that started cold
-    because of it.  [delta] (default [true]) enables the incremental
-    delta-extraction path taken when a caller passes [?base]; turning
-    it off forces every extraction miss through the full extract —
-    results are bit-identical either way (the bench uses the switch to
-    measure the delta mechanism in isolation). *)
+    [VDRAM_JOBS]).  [store] is ignored (see {!type-store}). *)
 
 val serial : unit -> t
 (** [create ~jobs:1 ()] — the drop-in default the analysis drivers use
@@ -43,44 +43,15 @@ val serial : unit -> t
 
 val jobs : t -> int
 
-val delta_enabled : t -> bool
-(** Whether the engine honours [?base] with the incremental
-    delta-extraction path (see {!create}). *)
-
-(** {1 Persistent store} *)
-
-val store_open : ?dir:string -> ?max_bytes:int -> unit -> Store.t
-(** A store handle stamped with the current model + fingerprint-scheme
-    version, rooted at [dir] (default {!Store.default_dir}), size-capped
-    at [max_bytes] when given (default [VDRAM_CACHE_MAX_BYTES]).  Pass
-    it to {!create} to warm an engine from disk. *)
-
-val store : t -> Store.t option
-
-val preloaded : t -> int * int
-(** [(extraction, mix)] entry counts loaded from the store at
-    {!create} time; [(0, 0)] without a store or on a cold cache. *)
-
-val discarded : t -> int
-(** How many stage snapshots (0..2) were rejected — corrupt, truncated
-    or version-skewed — and quarantined during the {!create} preload.
-    Those stages start cold and recompute; see {!Store.stats} on the
-    attached store for the full I/O picture. *)
+val store_open : dir:string -> unit -> store
+(** Benchmark shim: returns the inert {!type-store}; touches no file.
+    Only the benchmark calls it; it goes with the benchmark change
+    that retires the [cache.*] and [store.*] layer metrics. *)
 
 val flush_store : t -> unit
-(** Write the extraction and pattern-mix caches back to the engine's
-    store (no-op without one).  Only stages that have missed since the
-    last flush are written — a fully warm run re-saves nothing, and a
-    long-lived engine (the serve daemon) can flush periodically
-    without rewriting unchanged snapshots.  Snapshots are written
-    atomically, so a crash mid-flush leaves the previous snapshot
-    intact. *)
-
-val store_dirty : t -> bool
-(** Whether {!flush_store} would write anything: the engine has a
-    store and at least one stage has missed since the last flush.
-    Lets a long-running caller skip the flush entirely on a quiet
-    interval. *)
+(** Benchmark shim: does nothing.  Only the benchmark calls it; it
+    goes with the benchmark change that retires the [cache.*] and
+    [store.*] layer metrics. *)
 
 (** {1 Stages} *)
 
@@ -93,24 +64,22 @@ type geometry = {
 }
 
 val geometry : t -> Vdram_core.Config.t -> geometry
-(** Geometry/floorplan stage.  Keyed on the floorplan and the
-    activation fraction — the only configuration fields it reads. *)
+(** Geometry/floorplan stage. *)
 
 val extraction :
   ?base:Vdram_core.Config.t ->
   t ->
   Vdram_core.Config.t ->
   Vdram_core.Model.extraction
-(** Capacitance-extraction stage ({!Vdram_core.Model.extract}).  Keyed
-    on {!Vdram_core.Model.physics_projection} — every field except
-    [name].  [base] names a configuration the evaluated one is a small
-    perturbation of (a sweep's nominal point, a corner draw's seed):
-    on a miss, if the base's extraction is cached, the stage runs
-    {!Vdram_core.Model.extract_delta} against it — re-extracting only
-    the circuit groups whose per-group sub-key changed and splicing
-    the rest — instead of a full extract.  The result is bit-identical
-    either way; an uncached base or a [~delta:false] engine silently
-    degrades to the full extraction. *)
+(** Capacitance-extraction stage ({!Vdram_core.Model.extract}).
+    Without [base] it runs the full extraction.  With [base] it runs
+    {!Vdram_core.Model.extract_delta} against the base's extraction,
+    which the engine's one-slot memo resolves: a hit when [base] is
+    physically the configuration the memo holds, else one full
+    extraction of [base] that then replaces the slot.  When [base] is
+    the evaluated configuration itself, its memoized extraction is
+    returned outright.  The result is bit-identical to the full
+    extraction whichever path runs. *)
 
 val eval :
   ?base:Vdram_core.Config.t ->
@@ -118,12 +87,11 @@ val eval :
   Vdram_core.Config.t ->
   Vdram_core.Pattern.t ->
   Vdram_core.Report.t
-(** Pattern-mix stage: the full report.  Keyed on the physical
-    configuration and the pattern; the report's [config_name] is
-    patched to the caller's configuration name on every return, so a
-    cache hit from a renamed twin stays correctly labelled.
-    Bit-identical to {!Vdram_core.Model.pattern_power}.  [base] is
-    forwarded to {!extraction} on a mix miss. *)
+(** The full report: {!extraction} then the flat pattern-mix kernel
+    ({!Vdram_core.Model.pattern_power_staged}).  Bit-identical to
+    {!Vdram_core.Model.pattern_power} for every [base].  Evaluating
+    several patterns on one configuration with [~base] set to that
+    configuration extracts it once. *)
 
 val power :
   ?base:Vdram_core.Config.t ->
@@ -140,7 +108,7 @@ val energy_per_bit :
 val op_energy :
   ?base:Vdram_core.Config.t ->
   t -> Vdram_core.Config.t -> Vdram_core.Operation.kind -> float
-(** Per-occurrence supply energy of one operation, from the cached
+(** Per-occurrence supply energy of one operation, from the
     extraction ({!Vdram_core.Operation.energy} equivalent). *)
 
 (** {1 Batch execution} *)
@@ -150,32 +118,15 @@ val map_jobs : t -> ('a -> 'b) -> 'a list -> 'b list
     engine's [jobs]).  Results are returned in input order and are
     bit-identical to the serial [List.map] — see [doc/ENGINE.md]. *)
 
-(** {1 Instrumentation} *)
+(** {1 Benchmark shim}
 
-type stage_stats = {
-  hits : int;
-  misses : int;
-  time_ns : int;  (** monotonic time spent computing misses *)
-}
+    The engine keeps no counters.  These types and {!stats} survive
+    only because the benchmark still compiles against them; every
+    count reads 0.  They go with the benchmark change that retires
+    the [cache.*] and [store.*] layer metrics. *)
 
-type delta_stats = {
-  delta_attempts : int;
-      (** extraction misses served by the delta path (cached base) *)
-  delta_fallbacks : int;
-      (** delta attempts that fell back to a full extract *)
-  groups_spliced : int;
-      (** clean circuit groups shared from base extractions *)
-  groups_dirtied : (string * int) list;
-      (** re-extracted group counts, keyed by group name *)
-}
+type stage_stats = { hits : int; misses : int }
 
-type stats = {
-  geometry_stats : stage_stats;
-  extraction_stats : stage_stats;
-  mix_stats : stage_stats;
-  delta_stats : delta_stats;
-}
+type stats = { extraction_stats : stage_stats; mix_stats : stage_stats }
 
 val stats : t -> stats
-val reset_stats : t -> unit
-val pp_stats : Format.formatter -> stats -> unit

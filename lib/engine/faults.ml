@@ -1,6 +1,6 @@
 (* Seeded, order-independent fault injection: the faulted set is a
-   pure hash of (seed, batch, index), so any job count and any cache
-   state reproduce the same failures. *)
+   pure hash of (seed, batch, index), so any job count reproduces the
+   same failures. *)
 
 type stage = Geometry | Extraction | Mix
 
@@ -17,14 +17,9 @@ let stage_of_name = function
 
 type action = Raise of stage | Stall of stage * float
 
-type plan = {
-  seed : int;
-  rate : float;
-  action : action option;
-  corrupt_store : bool;
-}
+type plan = { seed : int; rate : float; action : action option }
 
-let none = { seed = 0; rate = 0.0; action = None; corrupt_store = false }
+let none = { seed = 0; rate = 0.0; action = None }
 
 exception Injected of string * int * int
 
@@ -104,10 +99,7 @@ let parse s =
               Ok { plan with action = Some (Stall (Mix, d)) }
             | _ ->
               Error (Printf.sprintf "stall %S is not a duration" value))
-         | "corrupt" ->
-           if value = "store" then Ok { plan with corrupt_store = true }
-           else Error (Printf.sprintf "corrupt target %S (want store)" value)
-         | _ -> Error (Printf.sprintf "unknown key %S" key)))
+         | _ -> Error (Printf.sprintf "unknown clause %S" clause)))
     (Ok { none with rate = 0.01 })
     clauses
 
@@ -125,7 +117,6 @@ let to_string plan =
        | Some (Raise st) -> [ "raise=" ^ stage_name st ]
        | Some (Stall (_, d)) -> [ Printf.sprintf "stall=%g" d ]
        | None -> [])
-    @ (if plan.corrupt_store then [ "corrupt=store" ] else [])
   in
   String.concat "," parts
 
@@ -151,9 +142,3 @@ let stage_hook stage =
      | Some (Stall (s, d)) when s = stage -> Unix.sleepf d
      | _ -> ())
   | _ -> ()
-
-let corrupt_read ~name =
-  ignore name;
-  match of_env () with
-  | Ok (Some p) -> p.corrupt_store
-  | _ -> false

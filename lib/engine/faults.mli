@@ -15,17 +15,19 @@
     rate=F            fraction of items faulted, 0..1 (default 0.01)
     raise=STAGE       raise inside that stage: geometry|extraction|mix
     stall=SECONDS     sleep that long inside the mix stage instead
-    corrupt=store     treat every persistent-store read as corrupt
     v}
 
     Example: [VDRAM_FAULTS="seed=7,rate=0.01,raise=mix"].
 
+    Any other clause is an error that names it; that includes the
+    retired [corrupt=store], since the engine keeps no persistent
+    store.
+
     [raise] and [stall] fire only for items evaluated under
     {!Supervise.map} (the supervised runtime establishes the item
-    context); [corrupt=store] applies to every {!Store.read},
-    supervised or not — store recovery is transparent, so corrupting
-    reads can never change a result, only force recomputation and
-    exercise the quarantine path. *)
+    context).  The engine caches no stage output, so the [geometry],
+    [extraction] and [mix] hooks fire on every item that runs those
+    stages: an {!Engine.eval} item passes all three. *)
 
 type stage = Geometry | Extraction | Mix
 
@@ -36,15 +38,10 @@ type action =
   | Raise of stage           (** raise {!Injected} inside the stage *)
   | Stall of stage * float   (** sleep this many seconds inside it *)
 
-type plan = {
-  seed : int;
-  rate : float;
-  action : action option;
-  corrupt_store : bool;
-}
+type plan = { seed : int; rate : float; action : action option }
 
 val none : plan
-(** The inert plan: faults nothing, corrupts nothing.  Pass it to
+(** The inert plan: faults nothing.  Pass it to
     supervised code to ignore [VDRAM_FAULTS] deliberately. *)
 
 exception Injected of string * int * int
@@ -68,8 +65,8 @@ val faulted : plan -> batch:int -> index:int -> bool
 
 (** {1 Injection points}
 
-    These are called by the engine and store; user code never needs
-    them directly. *)
+    These are called by the engine; user code never needs them
+    directly. *)
 
 val with_item :
   ?plan:plan -> batch:int -> index:int -> (unit -> 'a) -> 'a
@@ -84,7 +81,3 @@ val supervised : unit -> bool
 val stage_hook : stage -> unit
 (** Called at a stage entry: raises {!Injected} or stalls when the
     current item is faulted at this stage, otherwise free. *)
-
-val corrupt_read : name:string -> bool
-(** Whether a store read of this snapshot should be treated as
-    corrupt, per the {e environment} plan ([corrupt=store]). *)

@@ -1,51 +1,12 @@
-(* Content fingerprints: one marshal + digest per value, cheap keys
-   everywhere downstream. *)
+(* A fingerprint is the 16-byte MD5 of the value's marshalled bytes. *)
 
-(* The digest is the 16-byte MD5 of the marshalled value; the witness
-   retains the marshalled bytes themselves so a digest collision can
-   never alias two distinct keys (equality falls back to comparing the
-   bytes, which is a memcmp).  [Marshal.No_sharing] makes the byte
-   representation a pure function of the structure, so structurally
-   equal immutable values always fingerprint identically. *)
-type t = {
-  digest : string;
-  witness : string list;
-}
+type t = string
 
-(* Bump when the marshalling scheme or the key projections change:
-   stamps the on-disk store so entries written by an older scheme are
-   discarded instead of misread. *)
-let scheme_version = "fp1"
+let of_value v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
+let hex = Digest.to_hex
 
-let of_value v =
-  let bytes = Marshal.to_string v [ Marshal.No_sharing ] in
-  { digest = Digest.string bytes; witness = [ bytes ] }
-
+(* Benchmark shim; see fingerprint.mli. *)
 let combine = function
   | [] -> invalid_arg "Fingerprint.combine: empty list"
   | [ fp ] -> fp
-  | fps ->
-    {
-      digest = Digest.string (String.concat "" (List.map (fun f -> f.digest) fps));
-      witness = List.concat_map (fun f -> f.witness) fps;
-    }
-
-(* Entries restored from the persistent store carry no witness (the
-   bytes are not worth the disk space); for them the 128-bit digest is
-   the identity.  Two in-memory keys always carry witnesses and get
-   the full structural check. *)
-let trusted fp = { fp with witness = [] }
-
-let equal a b =
-  String.equal a.digest b.digest
-  && (a.witness == b.witness
-      || a.witness = []
-      || b.witness = []
-      || (try List.for_all2 String.equal a.witness b.witness
-          with Invalid_argument _ -> false))
-
-let hash fp = Int64.to_int (String.get_int64_le fp.digest 0) land max_int
-
-let hex fp = Digest.to_hex fp.digest
-
-let pp ppf fp = Format.pp_print_string ppf (hex fp)
+  | fps -> Digest.string (String.concat "" fps)

@@ -1,54 +1,22 @@
-(** Content fingerprints for stage-cache keys.
+(** Content fingerprints: the MD5 digest of a plain-data value's
+    marshalled bytes ([Marshal.No_sharing], so the bytes are a pure
+    function of the structure).  Used to name a failed batch item in
+    a {!Supervise} failure record and to key serve's request
+    coalescing.
 
-    A fingerprint is computed {e once} per value — the MD5 digest of
-    the value's marshalled bytes ([Marshal.No_sharing], so the bytes
-    are a pure function of the structure) — and then compared and
-    hashed in O(1)-ish time wherever the stage caches need a key.
-    This replaces per-lookup deep hashing
-    ([Hashtbl.hash_param 256 256]) and deep structural equality with
-    one walk per value plus cheap digest comparisons per lookup.
-
-    The marshalled bytes are retained as a {e witness}: on the
-    (cryptographically negligible, but possible) event of a digest
-    collision, {!equal} falls back to comparing the bytes, so two
-    distinct keys can never alias a cache entry.  Entries restored
-    from the persistent store drop their witness ({!trusted}) and are
-    identified by digest alone.
-
-    Only marshal plain data: every key the engine fingerprints
-    (configurations, floorplans, patterns and their projections) is
-    closure-free and immutable. *)
+    Only marshal plain data: closure-free, immutable values. *)
 
 type t
 
 val of_value : 'a -> t
-(** Fingerprint a (plain-data) value: one [Marshal] walk plus one
-    digest.  Structurally equal values yield equal fingerprints. *)
-
-val combine : t list -> t
-(** Fingerprint of a composite key (e.g. configuration × pattern)
-    from its parts' fingerprints, without re-marshalling.  Raises
-    [Invalid_argument] on the empty list. *)
-
-val trusted : t -> t
-(** The same fingerprint with its witness dropped: {!equal} then
-    trusts the 128-bit digest.  Used for entries restored from the
-    persistent store, where retaining every key's bytes would defeat
-    the point of the cache. *)
-
-val equal : t -> t -> bool
-(** Digest equality, with a byte-for-byte witness comparison as the
-    collision fallback whenever both sides carry witnesses. *)
-
-val hash : t -> int
-(** The first 64 digest bits, folded to a non-negative [int]; used to
-    pick a cache shard and a hash bucket. *)
+(** Fingerprint a (plain-data) value.  Structurally equal values yield
+    equal fingerprints. *)
 
 val hex : t -> string
-(** The digest, hex-encoded (store file names, diagnostics). *)
+(** The digest, hex-encoded. *)
 
-val scheme_version : string
-(** Stamped into the persistent store: entries fingerprinted under a
-    different scheme are discarded on load. *)
-
-val pp : Format.formatter -> t -> unit
+val combine : t list -> t
+(** Fingerprint of a composite key from its parts' fingerprints.
+    Raises [Invalid_argument] on the empty list.  Only the benchmark
+    calls it; it goes with the benchmark change that retires the
+    [cache.*] and [store.*] layer metrics. *)

@@ -25,21 +25,19 @@ let run ?engine baseline scheme =
     match engine with Some e -> e | None -> Engine.serial ()
   in
   let modified = scheme.Scheme.transform baseline in
-  (* Warm the baseline's extraction, then evaluate the transformed
-     configuration with it as the delta base: a scheme perturbs a few
-     fields, so only the circuit groups it reaches re-extract. *)
-  ignore (Engine.extraction engine baseline);
-  let power ?base cfg pattern = Engine.power ?base engine cfg pattern in
+  (* Both sides are evaluated against the baseline as the delta base:
+     the baseline itself reuses its extraction outright, and a scheme
+     perturbs a few fields, so only the circuit groups it reaches
+     re-extract. *)
+  let base = baseline in
   let saving pattern_of =
-    let before = power baseline (pattern_of baseline.Config.spec) in
-    let after =
-      power ~base:baseline modified (pattern_of modified.Config.spec)
-    in
-    (before -. after) /. before
+    let power cfg = Engine.power ~base engine cfg (pattern_of cfg.Config.spec) in
+    let before = power baseline in
+    (before -. power modified) /. before
   in
-  let epb ?base cfg =
+  let epb cfg =
     match
-      Engine.energy_per_bit ?base engine cfg
+      Engine.energy_per_bit ~base engine cfg
         (Pattern.idd7_mixed cfg.Config.spec)
     with
     | Some e -> e
@@ -50,14 +48,14 @@ let run ?engine baseline scheme =
     scheme;
     baseline_name = baseline.Config.name;
     activate_energy_before =
-      Engine.op_energy engine baseline Operation.Activate;
+      Engine.op_energy ~base engine baseline Operation.Activate;
     activate_energy_after =
-      Engine.op_energy ~base:baseline engine modified Operation.Activate;
+      Engine.op_energy ~base engine modified Operation.Activate;
     idd0_saving = saving Pattern.idd0;
     idd4r_saving = saving Pattern.idd4r;
     idd7_saving = saving Pattern.idd7_mixed;
     energy_per_bit_before = epb baseline;
-    energy_per_bit_after = epb ~base:baseline modified;
+    energy_per_bit_after = epb modified;
     die_area_before = die;
     die_area_after = die *. scheme.Scheme.area_factor;
   }

@@ -25,8 +25,9 @@ val run_all :
   Vdram_core.Config.t ->
   result list
 (** Every scheme of {!Scheme.all} against the same baseline, one pool
-    job per scheme.  The shared engine means the baseline's stages are
-    extracted once, not once per scheme.  With [supervisor] a scheme
+    job per scheme.  Every scheme is evaluated against the baseline
+    as its delta base, so the shared engine extracts the baseline once,
+    not once per scheme.  With [supervisor] a scheme
     whose evaluation fails (or yields a non-finite result) drops out
     of the table and is recorded as a failure instead of aborting. *)
 

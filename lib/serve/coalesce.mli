@@ -6,8 +6,7 @@
     until the leader publishes, then share its result (or re-raise its
     exception).  The entry is removed on publication, so a key that
     arrives after completion computes afresh — coalescing is about
-    concurrent duplicates, not caching (the engine's caches already
-    make sequential duplicates cheap). *)
+    concurrent duplicates, not caching. *)
 
 type 'a t
 

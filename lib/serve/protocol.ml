@@ -169,6 +169,13 @@ let parse_node s =
      | Some nm -> Ok (Node.of_nm nm)
      | None -> Error (Printf.sprintf "bad node %S" s))
 
+let parse_datarate = function
+  | None -> Ok None
+  | Some s ->
+    (match Quantity.parse_dim Quantity.Datarate s with
+     | Ok v -> Ok (Some v)
+     | Error _ -> Error (Printf.sprintf "bad datarate %S" s))
+
 let resolve_config spec =
   match spec.source with
   | Some src ->
@@ -177,28 +184,18 @@ let resolve_config spec =
      | Error e ->
        Error (Format.asprintf "source: %a" Vdram_dsl.Parser.pp_error e))
   | None ->
-    (match
-       match spec.node with
-       | None -> Ok Node.N65
-       | Some s -> parse_node s
-     with
-     | Error e -> Error e
-     | Ok node ->
-       let datarate =
-         match spec.datarate with
-         | None -> None
-         | Some s ->
-           (match Quantity.parse_dim Quantity.Datarate s with
-            | Ok v -> Some v
-            | Error _ -> None)
-       in
-       let density_bits =
-         Option.map (fun m -> m *. (2.0 ** 20.0)) spec.density_mbits
-       in
-       Ok
-         ( Config.commodity ?density_bits ?io_width:spec.io_width ?datarate
-             ~node (),
-           None ))
+    let ( let* ) = Result.bind in
+    let* node =
+      match spec.node with None -> Ok Node.N65 | Some s -> parse_node s
+    in
+    let* datarate = parse_datarate spec.datarate in
+    let density_bits =
+      Option.map (fun m -> m *. (2.0 ** 20.0)) spec.density_mbits
+    in
+    Ok
+      ( Config.commodity ?density_bits ?io_width:spec.io_width ?datarate
+          ~node (),
+        None )
 
 let resolve_pattern config stored arg =
   match arg with

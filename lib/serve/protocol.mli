@@ -60,12 +60,18 @@ val work_key : request -> string option
     [id] — or [None] for [Ping]/[Stats] (never coalesced).  Two
     in-flight requests with equal keys may share one computation. *)
 
+val parse_datarate : string option -> (float option, string) result
+(** A per-pin data rate such as ["1.6Gbps"], in bit/s.  An unparseable
+    rate is an error, never the node's default.  The CLI's
+    [--datarate] goes through this too. *)
+
 val resolve_config :
   config_spec ->
   (Vdram_core.Config.t * Vdram_core.Pattern.t option, string) result
 (** Build the device exactly as the CLI's config loading does: inline
     [source] through the DSL elaborator (yielding its stored pattern,
-    if any), otherwise the commodity device at the requested node. *)
+    if any), otherwise the commodity device at the requested node.  A
+    bad node or data rate is an error. *)
 
 val resolve_pattern :
   Vdram_core.Config.t ->

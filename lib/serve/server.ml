@@ -6,7 +6,6 @@
    the runtime lock is not a throughput concern. *)
 
 module Engine = Vdram_engine.Engine
-module Store = Vdram_engine.Store
 module Supervise = Vdram_engine.Supervise
 module Faults = Vdram_engine.Faults
 module Config = Vdram_core.Config
@@ -71,7 +70,6 @@ type t = {
   c_bad_frames : int Atomic.t;
   c_item_failures : int Atomic.t;
   c_injected : int Atomic.t;
-  completed_since_flush : int Atomic.t;
   mu : Mutex.t;  (* guards [by_class], [registry], [next_seq] *)
   by_class : (string, int) Hashtbl.t;
   registry : (int, pending) Hashtbl.t;
@@ -223,13 +221,15 @@ let compute t (req : Protocol.request) ~on_part =
             Supervise.map sup t.engine
               ~check:(fun ((_ : string), r) -> Supervise.finite_report r)
               (fun () ->
+                (* [~base:config]: the rendered patterns and the report
+                   share one extraction of [config]. *)
+                let eval = Engine.eval ~base:config t.engine in
                 let text =
                   Render.to_string
-                    (fun ppf () ->
-                      Render.power ~eval:(Engine.eval t.engine) ppf config p)
+                    (fun ppf () -> Render.power ~eval ppf config p)
                     ()
                 in
-                (text, Engine.eval t.engine config p))
+                (text, eval config p))
               [ () ]
           in
           let failures = merge_failures t sup in
@@ -357,16 +357,7 @@ let compute t (req : Protocol.request) ~on_part =
 
 (* ----- stats -------------------------------------------------------- *)
 
-let stage_json (s : Engine.stage_stats) =
-  Json.Obj
-    [
-      ("hits", jint s.Engine.hits);
-      ("misses", jint s.Engine.misses);
-      ("time_ns", jint s.Engine.time_ns);
-    ]
-
 let stats_json t =
-  let s = Engine.stats t.engine in
   let led, shared = Coalesce.counters t.coalesce in
   let by_class =
     Mutex.lock t.mu;
@@ -376,32 +367,7 @@ let stats_json t =
   in
   Json.Obj
     [
-      ( "engine",
-        Json.Obj
-          [
-            ("jobs", jint (Engine.jobs t.engine));
-            ("geometry", stage_json s.Engine.geometry_stats);
-            ("extraction", stage_json s.Engine.extraction_stats);
-            ("mix", stage_json s.Engine.mix_stats);
-          ] );
-      ( "store",
-        match Engine.store t.engine with
-        | None -> Json.Null
-        | Some st ->
-          let io = Store.stats st in
-          let pe, pm = Engine.preloaded t.engine in
-          Json.Obj
-            [
-              ("dir", jstr (Store.dir st));
-              ("preloaded_extraction", jint pe);
-              ("preloaded_mix", jint pm);
-              ("dirty", Json.Bool (Engine.store_dirty t.engine));
-              ("retries", jint io.Store.retries);
-              ("discarded", jint io.Store.discarded);
-              ("quarantined", jint io.Store.quarantined);
-              ("quarantined_bytes", jint io.Store.quarantined_bytes);
-              ("evicted", jint io.Store.evicted);
-            ] );
+      ("engine", Json.Obj [ ("jobs", jint (Engine.jobs t.engine)) ]);
       ( "requests",
         Json.Obj
           [
@@ -428,13 +394,6 @@ let stats_json t =
     ]
 
 (* ----- request handling -------------------------------------------- *)
-
-let maybe_flush t =
-  let n = Atomic.fetch_and_add t.completed_since_flush 1 + 1 in
-  if n >= 32 && Engine.store_dirty t.engine then begin
-    Atomic.set t.completed_since_flush 0;
-    Engine.flush_store t.engine
-  end
 
 let handle_request t conn (req : Protocol.request) =
   ignore (Atomic.fetch_and_add t.c_requests 1 : int);
@@ -498,8 +457,7 @@ let handle_request t conn (req : Protocol.request) =
                 : bool);
             if outcome.status = "ok" then
               ignore (Atomic.fetch_and_add t.c_completed 1 : int)
-            else ignore (Atomic.fetch_and_add t.c_failed 1 : int);
-            maybe_flush t)
+            else ignore (Atomic.fetch_and_add t.c_failed 1 : int))
       end
     end
 
@@ -671,7 +629,6 @@ let create ?faults ~engine cfg =
            c_bad_frames = Atomic.make 0;
            c_item_failures = Atomic.make 0;
            c_injected = Atomic.make 0;
-           completed_since_flush = Atomic.make 0;
            mu = Mutex.create ();
            by_class = Hashtbl.create 8;
            registry = Hashtbl.create 16;
@@ -706,7 +663,6 @@ let drain_finish t =
   while Atomic.get t.clients > 0 && Unix.gettimeofday () < conn_deadline do
     Thread.delay 0.05
   done;
-  if Engine.store_dirty t.engine then Engine.flush_store t.engine;
   (try Unix.close t.lsock with Unix.Unix_error _ -> ());
   match t.cfg.listener with
   | Unix_path path ->

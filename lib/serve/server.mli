@@ -1,8 +1,7 @@
 (** The [vdram serve] daemon: a persistent evaluation service over one
     hot engine.
 
-    One long-running process holds a warmed {!Vdram_engine.Engine}
-    (optionally preloaded from the persistent store) and answers
+    One long-running process holds a {!Vdram_engine.Engine} and answers
     eval / sensitivity / corners / sweep requests over line-delimited
     JSON on a Unix or TCP socket ([doc/SERVE.md] specifies the wire
     protocol).  The design constraints, in order:
@@ -66,8 +65,8 @@ val create :
 val serve : t -> unit
 (** Accept and serve until {!drain}, then finish: stop accepting,
     wait up to [drain_grace] for in-flight requests, force an
-    [aborted] terminal frame on any survivor, flush the engine's
-    store, close and (for Unix sockets) unlink the listener.  Returns
+    [aborted] terminal frame on any survivor, close and (for Unix
+    sockets) unlink the listener.  Returns
     normally — the caller decides the exit code. *)
 
 val drain : t -> unit
@@ -81,9 +80,9 @@ val address : t -> Unix.sockaddr
     port. *)
 
 val stats_json : t -> Json.t
-(** The same object a [stats] request returns: engine cache counters,
-    store I/O, request/coalescing/admission counters, failure classes,
-    in-flight depth, drain flag, uptime. *)
+(** The same object a [stats] request returns: the engine's job count,
+    request/coalescing/admission counters, failure classes, in-flight
+    depth, drain flag, uptime. *)
 
 val coalesce_counters : t -> int * int
 (** [(led, shared)] — exposed for tests and the smoke driver. *)

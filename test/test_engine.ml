@@ -1,19 +1,19 @@
-(* The staged evaluation engine: the parallel pool must be
-   bit-identical to serial evaluation, and the stage caches must hit
-   and invalidate along the config -> geometry -> extraction -> mix
-   pipeline. *)
+(* The evaluation engine: the parallel pool must be bit-identical to
+   serial evaluation, and evaluating against any base — through the
+   engine's one-slot base memo — must be bit-identical to the direct
+   model. *)
 
 module Engine = Vdram_engine.Engine
 module Pool = Vdram_engine.Pool
 module Model = Vdram_core.Model
 module Config = Vdram_core.Config
 module Pattern = Vdram_core.Pattern
-module Report = Vdram_core.Report
 module Params = Vdram_tech.Params
 module Sensitivity = Vdram_analysis.Sensitivity
 module Corners = Vdram_analysis.Corners
 module Lenses = Vdram_analysis.Lenses
 module Contribution = Vdram_circuits.Contribution
+module Node = Vdram_tech.Node
 
 let base () = Lazy.force Helpers.ddr3_2g
 
@@ -116,70 +116,10 @@ let eval_matches_model () =
       ("idd4r", Pattern.idd4r cfg.Config.spec);
       ("idd7_mixed", Pattern.idd7_mixed cfg.Config.spec) ]
 
-let renamed_twin_hits_cache () =
-  let cfg = base () in
-  let engine = Engine.serial () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  ignore (Engine.eval engine cfg p);
-  let twin = { cfg with Config.name = "renamed twin" } in
-  let r = Engine.eval engine twin p in
-  let s = Engine.stats engine in
-  Alcotest.(check int) "mix stage hit for renamed twin" 1
-    s.Engine.mix_stats.hits;
-  Alcotest.(check string) "report labelled with the caller's name"
-    "renamed twin" r.Report.config_name
-
-(* ----- cache hit and invalidation accounting ------------------------- *)
-
-let cache_counters () =
-  let cfg = base () in
-  let engine = Engine.serial () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  ignore (Engine.eval engine cfg p);
-  let s = Engine.stats engine in
-  Alcotest.(check int) "cold run: one geometry miss" 1
-    s.Engine.geometry_stats.misses;
-  Alcotest.(check int) "cold run: one extraction miss" 1
-    s.Engine.extraction_stats.misses;
-  Alcotest.(check int) "cold run: one mix miss" 1 s.Engine.mix_stats.misses;
-  ignore (Engine.eval engine cfg p);
-  let s = Engine.stats engine in
-  Alcotest.(check int) "warm run: mix hit" 1 s.Engine.mix_stats.hits;
-  Alcotest.(check int) "warm run: no extra mix miss" 1
-    s.Engine.mix_stats.misses;
-  (* Same configuration, different pattern: geometry and extraction
-     replay from cache, only the mix recomputes. *)
-  ignore (Engine.eval engine cfg (Pattern.idd4r cfg.Config.spec));
-  let s = Engine.stats engine in
-  Alcotest.(check int) "new pattern: extraction hit" 1
-    s.Engine.extraction_stats.hits;
-  Alcotest.(check int) "new pattern: mix miss" 2 s.Engine.mix_stats.misses;
-  Engine.reset_stats engine;
-  let s = Engine.stats engine in
-  Alcotest.(check int) "reset clears counters" 0 s.Engine.mix_stats.misses
-
-let upstream_invalidation () =
-  let cfg = base () in
-  let engine = Engine.serial () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  ignore (Engine.eval engine cfg p);
-  Engine.reset_stats engine;
-  (* A bitline-capacitance perturbation leaves the floorplan alone:
-     geometry must replay from cache while extraction and mix rerun. *)
-  ignore (Engine.eval engine (scale_bitline cfg 1.1) p);
-  let s = Engine.stats engine in
-  Alcotest.(check int) "perturbed tech: geometry hit" 1
-    s.Engine.geometry_stats.hits;
-  Alcotest.(check int) "perturbed tech: geometry not recomputed" 0
-    s.Engine.geometry_stats.misses;
-  Alcotest.(check int) "perturbed tech: extraction miss" 1
-    s.Engine.extraction_stats.misses;
-  Alcotest.(check int) "perturbed tech: mix miss" 1 s.Engine.mix_stats.misses
-
 (* ----- determinism properties ---------------------------------------- *)
 
-(* One engine shared across iterations, so later iterations exercise
-   genuine cache hits against cold references. *)
+(* One engine shared across iterations, so later iterations run on an
+   engine that has already evaluated other configurations. *)
 let shared_engine = lazy (Engine.create ~jobs:1 ())
 
 let eval_determinism =
@@ -210,6 +150,62 @@ let map_jobs_determinism =
       Engine.map_jobs parallel (fun c -> Engine.eval parallel c p) cfgs
       = List.map (fun c -> Model.pattern_power c p) cfgs)
 
+(* ----- the base memo -------------------------------------------------- *)
+
+(* [eval ~base] must not depend on what the base is or on what the
+   engine's base slot held before: the base equal to the evaluated
+   configuration, a one-lens perturbation of it, a device of another
+   node, and bases that alternate call by call on one engine — on the
+   pool at jobs 1 and 2, and from two threads of one domain, as the
+   serve daemon's connection threads share its engine. *)
+let base_memo_identity =
+  QCheck.Test.make
+    ~name:"eval ~base: bit-identical to Model.pattern_power for any base"
+    ~count:12
+    QCheck.(
+      quad (float_range 0.8 1.25)
+        (int_range 0 (List.length Lenses.all - 1))
+        (float_range 0.7 1.3)
+        (int_range 0 (List.length Node.all - 1)))
+    (fun (f, lens_i, scale, node_i) ->
+      let cfg = scale_bitline (base ()) f in
+      let near = Lenses.scale (List.nth Lenses.all lens_i) scale cfg in
+      let other = Config.commodity ~node:(List.nth Node.all node_i) () in
+      let p = Pattern.idd7_mixed cfg.Config.spec in
+      (* (evaluated, base) pairs *)
+      let cases = [ (cfg, cfg); (near, cfg); (cfg, near); (cfg, other) ] in
+      let items = List.concat (List.init 4 (fun _ -> cases)) in
+      let expected = List.map (fun (c, _) -> Model.pattern_power c p) items in
+      let eval e (c, b) = Engine.eval ~base:b e c p in
+      let fresh =
+        List.for_all2
+          (fun item want -> eval (Engine.serial ()) item = want)
+          items expected
+      in
+      let pooled jobs =
+        let e = Engine.create ~jobs () in
+        Engine.map_jobs e (eval e) items = expected
+      in
+      let threaded =
+        let e = Engine.serial () in
+        let run reversed =
+          let order l = if reversed then List.rev l else l in
+          List.for_all2
+            (fun item want ->
+              let ok = eval e item = want in
+              Thread.yield ();
+              ok)
+            (order items) (order expected)
+        in
+        let ok = [| false; false |] in
+        List.map
+          (fun k -> Thread.create (fun () -> ok.(k) <- run (k = 1)) ())
+          [ 0; 1 ]
+        |> List.iter Thread.join;
+        ok.(0) && ok.(1)
+      in
+      fresh && pooled 1 && pooled 2 && threaded)
+
 (* ----- fingerprints --------------------------------------------------- *)
 
 let fingerprint_faithful =
@@ -221,10 +217,10 @@ let fingerprint_faithful =
       let module Fp = Vdram_engine.Fingerprint in
       let c1 = scale_bitline (base ()) f1 in
       let c2 = scale_bitline (base ()) f2 in
-      let fp c = Fp.of_value (Model.physics_projection c) in
+      let fp c = Fp.hex (Fp.of_value (Model.physics_projection c)) in
       let renamed = { c1 with Config.name = "fingerprint twin" } in
-      Fp.equal (fp c1) (fp renamed)
-      && Fp.equal (fp c1) (fp c2)
+      fp c1 = fp renamed
+      && (fp c1 = fp c2)
          = (Model.physics_projection c1 = Model.physics_projection c2))
 
 (* ----- delta extraction ----------------------------------------------- *)
@@ -282,241 +278,65 @@ let delta_group_keys () =
       | _ -> Helpers.check_true (name ^ " sub-key stable") stable)
     Contribution.groups
 
+(* The engine's delta path is switched by the caller's [?base]: with a
+   base it splices the base's clean groups, without one it runs the
+   full extraction.  Both must return the direct model's report, and
+   the splice for a bitline perturbation must re-extract exactly the
+   two groups it dirties. *)
 let engine_delta_path () =
   let cfg = base () in
   let p = Pattern.idd0 cfg.Config.spec in
   let cfg' = scale_bitline cfg 1.05 in
-  let on = Engine.create ~jobs:1 () in
-  ignore (Engine.eval on cfg p);
-  let r = Engine.eval ~base:cfg on cfg' p in
+  let engine = Engine.create ~jobs:1 () in
+  ignore (Engine.eval engine cfg p);
+  let r = Engine.eval ~base:cfg engine cfg' p in
   Helpers.check_true "delta eval bit-identical to the direct model"
     (r = Model.pattern_power cfg' p);
-  let ds = (Engine.stats on).Engine.delta_stats in
-  Alcotest.(check int) "one delta attempt" 1 ds.Engine.delta_attempts;
-  Alcotest.(check int) "no fallback" 0 ds.Engine.delta_fallbacks;
+  Helpers.check_true "delta extraction bit-identical to the full one"
+    (Engine.extraction ~base:cfg engine cfg' = Model.extract cfg');
+  let _, outcome = Model.extract_delta ~base:(Model.extract cfg) cfg' in
+  Helpers.check_true "no fallback" (not outcome.Model.fallback);
   Alcotest.(check int) "four clean groups spliced" 4
-    ds.Engine.groups_spliced;
-  (* The switch: a [~delta:false] engine returns the same report and
-     never takes the delta path. *)
-  let off = Engine.create ~jobs:1 ~delta:false () in
-  ignore (Engine.eval off cfg p);
-  Helpers.check_true "delta-off engine identical"
-    (Engine.eval ~base:cfg off cfg' p = r);
-  Alcotest.(check int) "delta-off never attempts" 0
-    (Engine.stats off).Engine.delta_stats.Engine.delta_attempts
+    (List.length Contribution.groups - List.length outcome.Model.dirtied);
+  (* The switch: the same engine without [~base] runs the full
+     extraction and returns the same report. *)
+  Helpers.check_true "full-extraction eval identical"
+    (Engine.eval engine cfg' p = r);
+  Helpers.check_true "full-extraction stage identical"
+    (Engine.extraction engine cfg' = Model.extract cfg')
 
+(* Sensitivity evaluates every perturbed configuration against the
+   nominal one as its delta base; the same study computed with a full
+   extraction per configuration must agree bit for bit. *)
 let sensitivity_delta_identity () =
   let cfg = base () in
-  let on = Engine.create ~jobs:1 () in
-  let off = Engine.create ~jobs:1 ~delta:false () in
-  let s_on = Sensitivity.run ~engine:on cfg in
-  let s_off = Sensitivity.run ~engine:off cfg in
-  Helpers.check_true "sensitivity identical with delta on and off"
-    (s_on = s_off);
-  Helpers.check_true "the delta engine actually took the delta path"
-    ((Engine.stats on).Engine.delta_stats.Engine.delta_attempts > 0)
-
-(* ----- persistent store ----------------------------------------------- *)
-
-let store_dir =
-  Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-store"
-
-let store_roundtrip () =
-  let module Store = Vdram_engine.Store in
-  let store () = Engine.store_open ~dir:store_dir () in
-  Store.clear (store ());
-  let cfg = base () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  let cold = Engine.create ~jobs:1 ~store:(store ()) () in
-  let r_cold = Engine.eval cold cfg p in
-  Engine.flush_store cold;
-  (* A fresh engine on the same directory replays both stages from
-     disk: the preload counters see the snapshot, the first eval is a
-     pure mix hit, and the replayed report is bit-identical. *)
-  let warm = Engine.create ~jobs:1 ~store:(store ()) () in
-  Helpers.check_true "snapshots preloaded"
-    (Engine.preloaded warm = (1, 1));
-  let r_warm = Engine.eval warm cfg p in
-  let s = Engine.stats warm in
-  Alcotest.(check int) "warm eval is a mix hit" 1 s.Engine.mix_stats.hits;
-  Alcotest.(check int) "warm eval misses nothing" 0
-    s.Engine.mix_stats.misses;
-  Helpers.check_true "disk replay bit-identical" (r_warm = r_cold);
-  Store.clear (store ())
-
-let store_corruption_recovery () =
-  let module Store = Vdram_engine.Store in
-  let st = Engine.store_open ~dir:store_dir () in
-  Store.clear st;
-  let cfg = base () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  let seed = Engine.create ~jobs:1 ~store:st () in
-  let reference = Engine.eval seed cfg p in
-  Engine.flush_store seed;
-  (* Total garbage: wrong magic. *)
-  Out_channel.with_open_text (Store.path st "extraction") (fun oc ->
-      Out_channel.output_string oc "not a vdram store at all");
-  (* Right magic and version but a checksum that does not match the
-     payload — the guard that keeps Marshal away from hostile bytes. *)
-  Out_channel.with_open_text (Store.path st "mix") (fun oc ->
-      Out_channel.output_string oc
-        (Printf.sprintf "vdram-store 1\n%s\n%s\nnot the payload"
-           (Store.version st)
-           (Digest.to_hex (Digest.string "something else"))));
-  let engine = Engine.create ~jobs:1 ~store:st () in
-  Helpers.check_true "corrupt snapshots are discarded"
-    (Engine.preloaded engine = (0, 0));
-  Alcotest.(check int) "both corruptions are counted, not hidden" 2
-    (Engine.discarded engine);
-  Helpers.check_true "engine recomputes past the corruption"
-    (Engine.eval engine cfg p = reference);
-  (* A version-skewed reader must treat good snapshots as misses. *)
-  Engine.flush_store engine;
-  let skewed = Store.open_ ~dir:store_dir ~version:"some-other-version" () in
-  Helpers.check_true "version skew discards the snapshot"
-    (Store.load skewed ~name:"mix" = None);
-  Store.clear st
-
-(* ----- store retries, quarantine, eviction ---------------------------- *)
-
-let store_retry_quarantine () =
-  let module Store = Vdram_engine.Store in
-  let st = Engine.store_open ~dir:store_dir () in
-  Store.clear st;
-  let cfg = base () in
-  let p = Pattern.idd0 cfg.Config.spec in
-  let seed = Engine.create ~jobs:1 ~store:st () in
-  ignore (Engine.eval seed cfg p);
-  Engine.flush_store seed;
-  Out_channel.with_open_text (Store.path st "mix") (fun oc ->
-      Out_channel.output_string oc "not a vdram store at all");
-  let h = Engine.store_open ~dir:store_dir () in
-  (match Store.read ~retries:1 ~backoff:0.001 h ~name:"mix" with
-  | Store.Corrupt reason ->
-    Helpers.check_true "the corruption reason is reported"
-      (String.length reason > 0)
-  | Store.Hit _ | Store.Missing ->
-    Alcotest.fail "garbage snapshot must classify as Corrupt")
-  |> ignore;
-  let s = Store.stats h in
-  Alcotest.(check int) "one backed-off retry before giving up" 1
-    s.Store.retries;
-  Alcotest.(check int) "one snapshot discarded" 1 s.Store.discarded;
-  Alcotest.(check int) "the bad file was quarantined" 1 s.Store.quarantined;
-  Helpers.check_true "original file moved out of the cache"
-    (not (Sys.file_exists (Store.path h "mix")));
-  let qdir = Store.quarantine_dir h in
-  Helpers.check_true "quarantine keeps the file and a .reason sidecar"
-    (Sys.file_exists qdir
-    && Array.exists
-         (fun f -> Filename.check_suffix f ".reason")
-         (Sys.readdir qdir)
-    && Array.exists
-         (fun f -> Filename.check_suffix f ".cache")
-         (Sys.readdir qdir));
-  Store.clear h
-
-let store_eviction_roundtrip () =
-  let module Store = Vdram_engine.Store in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-evict"
+  let variation = 0.20 in
+  let p = Pattern.idd7_mixed cfg.Config.spec in
+  let lenses = Lenses.all in
+  let s =
+    Sensitivity.run ~engine:(Engine.create ~jobs:1 ()) ~variation ~lenses cfg
   in
-  let uncapped = Store.open_ ~dir ~version:"evict-test" () in
-  Store.clear uncapped;
-  let payload tag = Array.init 64 (fun i -> (tag, i)) in
+  let full c = (Model.pattern_power c p).Vdram_core.Report.power in
+  let nominal = full cfg in
+  Helpers.check_true "nominal power identical with delta off"
+    (s.Sensitivity.nominal_power = nominal);
+  Alcotest.(check int) "one entry per lens"
+    (List.length lenses) (List.length s.Sensitivity.entries);
   List.iter
-    (fun name -> Store.save uncapped ~name (payload name))
-    [ "old"; "mid"; "new" ];
-  (* Pin the mtimes so "old" really is the oldest snapshot. *)
-  List.iteri
-    (fun k name ->
-      let t = Unix.time () -. float_of_int ((3 - k) * 3600) in
-      Unix.utimes (Store.path uncapped name) t t)
-    [ "old"; "mid"; "new" ];
-  let size name = (Unix.stat (Store.path uncapped name)).Unix.st_size in
-  let cap = size "mid" + size "new" + 1 in
-  let capped = Store.open_ ~dir ~max_bytes:cap ~version:"evict-test" () in
-  Alcotest.(check (option int)) "cap remembered" (Some cap)
-    (Store.max_bytes capped);
-  let removed = Store.evict capped in
-  Alcotest.(check int) "exactly the oldest snapshot evicted" 1 removed;
-  Helpers.check_true "oldest snapshot gone"
-    (Store.load capped ~name:"old" = None);
-  Helpers.check_true "newest snapshot survives the round-trip"
-    (Store.load capped ~name:"new" = Some (payload "new"));
-  Helpers.check_true "middle snapshot untouched"
-    (Store.load capped ~name:"mid" = Some (payload "mid"));
-  Alcotest.(check int) "eviction counted" 1
-    (Store.stats capped).Store.evicted;
-  Store.clear capped
-
-let store_quarantine_cap () =
-  let module Store = Vdram_engine.Store in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-qcap"
-  in
-  let st = Store.open_ ~dir ~quarantine_max_bytes:2200 ~version:"qcap" () in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Store.clear st;
-  let corrupt name =
-    Out_channel.with_open_text (Store.path st name) (fun oc ->
-        Out_channel.output_string oc (String.make 2048 'x'));
-    match Store.read ~retries:0 ~backoff:0.001 st ~name with
-    | Store.Corrupt _ -> ()
-    | Store.Hit _ | Store.Missing ->
-      Alcotest.fail "garbage snapshot must classify as Corrupt"
-  in
-  corrupt "alpha";
-  corrupt "beta";
-  let s = Store.stats st in
-  Alcotest.(check int) "both files quarantined" 2 s.Store.quarantined;
-  Alcotest.(check int) "quarantined bytes accumulated" (2 * 2048)
-    s.Store.quarantined_bytes;
-  (* The cap holds one ~2 KiB specimen: quarantining beta must have
-     evicted alpha (oldest first, never the file just moved). *)
-  Alcotest.(check int) "cap evicted exactly the older specimen" 1
-    s.Store.evicted;
-  let qdir = Store.quarantine_dir st in
-  let specimens =
-    Array.to_list (Sys.readdir qdir)
-    |> List.filter (fun f -> Filename.check_suffix f ".cache")
-  in
-  Alcotest.(check (list string)) "the fresh specimen survives"
-    [ "beta.cache" ] specimens;
-  Store.clear st
-
-let store_flush_incremental () =
-  let module Store = Vdram_engine.Store in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-dirty"
-  in
-  let st = Engine.store_open ~dir () in
-  Store.clear st;
-  let cfg = base () in
-  let e = Engine.create ~jobs:1 ~store:st () in
-  Helpers.check_true "cold engine has nothing to flush"
-    (not (Engine.store_dirty e));
-  ignore (Engine.eval e cfg (Pattern.idd0 cfg.Config.spec) : Report.t);
-  Helpers.check_true "a stage miss marks the store dirty"
-    (Engine.store_dirty e);
-  Engine.flush_store e;
-  Helpers.check_true "flushing clears the dirty flag"
-    (not (Engine.store_dirty e));
-  ignore (Engine.eval e cfg (Pattern.idd0 cfg.Config.spec) : Report.t);
-  Helpers.check_true "pure cache hits do not re-dirty"
-    (not (Engine.store_dirty e));
-  (* A clean flush must rewrite nothing — remove the snapshot and
-     watch a no-op flush leave it missing. *)
-  Sys.remove (Store.path st "mix");
-  Engine.flush_store e;
-  Helpers.check_true "clean flush writes no snapshot"
-    (not (Sys.file_exists (Store.path st "mix")));
-  ignore (Engine.eval e cfg (Pattern.idd4r cfg.Config.spec) : Report.t);
-  Helpers.check_true "a fresh miss re-dirties" (Engine.store_dirty e);
-  Engine.flush_store e;
-  Helpers.check_true "dirty flush rewrites the snapshot"
-    (Sys.file_exists (Store.path st "mix"));
-  Store.clear st
+    (fun lens ->
+      let name = lens.Lenses.name in
+      let e =
+        List.find (fun e -> e.Sensitivity.lens_name = name)
+          s.Sensitivity.entries
+      in
+      let plus = full (Lenses.scale lens (1.0 +. variation) cfg) in
+      let minus = full (Lenses.scale lens (1.0 -. variation) cfg) in
+      Helpers.check_true (name ^ ": identical with delta off")
+        (e.Sensitivity.power_plus = plus
+         && e.Sensitivity.power_minus = minus
+         && e.Sensitivity.span_percent
+            = (plus -. minus) /. nominal *. 100.0))
+    lenses
 
 (* ----- fault plans ---------------------------------------------------- *)
 
@@ -543,8 +363,6 @@ let faults_grammar () =
   let stall = plan_exn "stall=0.25; seed=3" in
   Helpers.check_true "stall clause parses to a mix stall"
     (stall.Faults.action = Some (Faults.Stall (Faults.Mix, 0.25)));
-  Helpers.check_true "corrupt=store flag"
-    (plan_exn "corrupt=store").Faults.corrupt_store;
   List.iter
     (fun bad ->
       match Faults.parse bad with
@@ -555,6 +373,15 @@ let faults_grammar () =
           (String.length msg > 0))
     [ "seed=oops"; "rate=2"; "rate=-0.5"; "raise=teleport"; "stall=-1";
       "corrupt=disk"; "flavour=mango"; "seed" ]
+
+let faults_reject_corrupt_store () =
+  (* The persistent store is gone: its fault clause must be an error
+     that names the clause, not a silently accepted no-op. *)
+  match Faults.parse "seed=3,corrupt=store" with
+  | Ok _ -> Alcotest.fail "corrupt=store should not parse"
+  | Error msg ->
+    Alcotest.(check string) "the error names the clause"
+      "unknown clause \"corrupt=store\"" msg
 
 let faulted_is_order_free () =
   let plan = plan_exn "seed=11,rate=0.1,raise=mix" in
@@ -881,13 +708,9 @@ let suite =
     Alcotest.test_case "VDRAM_JOBS clamping" `Quick vdram_jobs_env;
     Alcotest.test_case "eval matches Model.pattern_power" `Quick
       eval_matches_model;
-    Alcotest.test_case "renamed twin hits the mix cache" `Quick
-      renamed_twin_hits_cache;
-    Alcotest.test_case "stage cache counters" `Quick cache_counters;
-    Alcotest.test_case "tech perturbation keeps geometry cached" `Quick
-      upstream_invalidation;
     Helpers.qcheck eval_determinism;
     Helpers.qcheck map_jobs_determinism;
+    Helpers.qcheck base_memo_identity;
     Helpers.qcheck fingerprint_faithful;
     Helpers.qcheck delta_matches_full;
     Alcotest.test_case "delta: group sub-keys move only when dirtied" `Quick
@@ -896,22 +719,13 @@ let suite =
       `Quick engine_delta_path;
     Alcotest.test_case "delta: sensitivity identical with delta off" `Quick
       sensitivity_delta_identity;
-    Alcotest.test_case "disk cache round-trip" `Quick store_roundtrip;
-    Alcotest.test_case "disk cache corruption recovery" `Quick
-      store_corruption_recovery;
     Alcotest.test_case "sensitivity: serial = parallel" `Quick
       sensitivity_serial_parallel;
     Alcotest.test_case "corners: serial = parallel" `Quick
       corners_serial_parallel;
-    Alcotest.test_case "store retry then quarantine" `Quick
-      store_retry_quarantine;
-    Alcotest.test_case "store size cap evicts oldest first" `Quick
-      store_eviction_roundtrip;
-    Alcotest.test_case "quarantine cap keeps freshest specimens" `Quick
-      store_quarantine_cap;
-    Alcotest.test_case "flush is incremental and dirty-tracked" `Quick
-      store_flush_incremental;
     Alcotest.test_case "fault plan grammar" `Quick faults_grammar;
+    Alcotest.test_case "fault plan rejects corrupt=store" `Quick
+      faults_reject_corrupt_store;
     Alcotest.test_case "faulted set is order-free" `Quick
       faulted_is_order_free;
     Alcotest.test_case "supervised = unsupervised on healthy runs" `Quick

@@ -123,6 +123,29 @@ let test_sim_agrees_with_idd4 () =
        (sim_power *. 1e3) (idd4r_power *. 1e3))
     (sim_power > idd4r_power *. 0.7 && sim_power < idd4r_power *. 1.3)
 
+let test_cli_bad_datarate () =
+  (* The one-shot CLI, run as a process: an unparseable data rate must
+     exit 2 with a diagnostic, and print no device. *)
+  let exe = "../bin/vdram.exe" in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe
+      [| exe; "power"; "--node"; "55nm"; "--datarate"; "garbage" |]
+      Unix.stdin out_w err_w
+  in
+  Unix.close out_w;
+  Unix.close err_w;
+  let read fd = In_channel.input_all (Unix.in_channel_of_descr fd) in
+  let stdout = read out_r in
+  let stderr = read err_r in
+  let status = snd (Unix.waitpid [] pid) in
+  Helpers.check_true "exit 2" (status = Unix.WEXITED 2);
+  Alcotest.(check string) "nothing on stdout" "" stdout;
+  Helpers.check_true
+    (Printf.sprintf "stderr names the value: %S" stderr)
+    (String.trim stderr = "vdram: bad datarate \"garbage\"")
+
 let suite =
   [
     Alcotest.test_case "DSL matches API-built device" `Quick
@@ -135,4 +158,6 @@ let suite =
       test_pattern_equivalence;
     Alcotest.test_case "simulator agrees with Idd4R" `Quick
       test_sim_agrees_with_idd4;
+    Alcotest.test_case "cli: unparseable --datarate exits 2" `Quick
+      test_cli_bad_datarate;
   ]

@@ -505,7 +505,6 @@ let stall_plan per_item =
     Faults.seed = 0;
     rate = 1.0;
     action = Some (Faults.Stall (Faults.Mix, per_item));
-    corrupt_store = false;
   }
 
 let server_coalescing () =
@@ -560,7 +559,6 @@ let server_fault_isolation () =
       Faults.seed = 3;
       rate = 1.0;
       action = Some (Faults.Raise Faults.Mix);
-      corrupt_store = false;
     }
   in
   with_server ~faults:plan (fun _server path ->
@@ -685,25 +683,21 @@ let server_drain_aborts () =
            (List.length l));
       Unix.close fd)
 
-let server_drain_flushes_store () =
-  let module Store = Vdram_engine.Store in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "vdram-serve-test-store"
-  in
-  let st = Engine.store_open ~dir () in
-  Store.clear st;
-  let engine = Engine.create ~jobs:1 ~store:st () in
-  with_server ~engine (fun _server path ->
+let server_bad_datarate () =
+  (* An unparseable data rate is a bad request, never the node's
+     default device. *)
+  with_server (fun _server path ->
       let fd = connect path in
-      send_line fd {|{"id":"e","op":"eval"}|};
-      Alcotest.(check string) "eval ok" "ok"
-        (jstr (one (recv_frames fd 1)) "status");
-      Unix.close fd);
-  (* with_server drained on the way out; drain must have flushed. *)
-  check_true "drain flushed the mix snapshot"
-    (Sys.file_exists (Store.path st "mix"));
-  check_true "drain left nothing dirty" (not (Engine.store_dirty engine));
-  Store.clear st
+      send_line fd
+        {|{"id":"d","op":"eval","config":{"node":"55nm","datarate":"garbage"}}|};
+      let e = one (recv_frames fd 1) in
+      Alcotest.(check string) "error status" "error" (jstr e "status");
+      Alcotest.(check string) "bad request class" "bad_request"
+        (jstr e "class");
+      Alcotest.(check string) "message names the value"
+        "bad datarate \"garbage\"" (jstr e "message");
+      check_true "no text" (Json.mem "text" e = None);
+      Unix.close fd)
 
 let suite =
   [
@@ -733,6 +727,6 @@ let suite =
       server_sweep_streams;
     Alcotest.test_case "server: drain aborts with one terminal" `Quick
       server_drain_aborts;
-    Alcotest.test_case "server: drain flushes the store" `Quick
-      server_drain_flushes_store;
+    Alcotest.test_case "server: bad datarate is an error frame" `Quick
+      server_bad_datarate;
   ]
