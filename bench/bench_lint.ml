@@ -7,6 +7,7 @@
 open Bechamel
 open Toolkit
 
+module Json = Vdram_json.Json
 module Lint = Vdram_lint.Lint
 
 let examples_dir = "examples"
@@ -48,20 +49,6 @@ let tests sources =
                   List.iter (fun r -> Lint.pp_text ppf r) reports)));
       ])
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let () =
   let sources = examples () in
   if sources = [] then
@@ -95,18 +82,22 @@ let () =
       (fun (name, ns) ->
         Printf.printf "  %-45s %12.1f us/run\n" name (ns /. 1e3))
       estimates;
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"benchmark\":\"lint\",\"unit\":\"ns/run\",";
-    Printf.bprintf buf "\"examples\":%d,\"entries\":[" (List.length sources);
-    List.iteri
-      (fun i (name, ns) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "{\"name\":";
-        add_json_string buf name;
-        Printf.bprintf buf ",\"ns_per_run\":%.1f}" ns)
-      estimates;
-    Buffer.add_string buf "]}\n";
+    let json =
+      Json.Obj
+        [
+          ("benchmark", Json.Str "lint");
+          ("unit", Json.Str "ns/run");
+          ("examples", Json.Num (float_of_int (List.length sources)));
+          ( "entries",
+            Json.List
+              (List.map
+                 (fun (name, ns) ->
+                   Json.Obj
+                     [ ("name", Json.Str name); ("ns_per_run", Json.Num ns) ])
+                 estimates) );
+        ]
+    in
     Out_channel.with_open_text "BENCH_lint.json" (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
+        Out_channel.output_string oc (Json.to_string json ^ "\n"));
     print_endline "wrote BENCH_lint.json"
   end

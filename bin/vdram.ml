@@ -8,29 +8,20 @@ module Pattern = Vdram_core.Pattern
 module Model = Vdram_core.Model
 module Report = Vdram_core.Report
 module Spec = Vdram_core.Spec
+module Json = Vdram_json.Json
+module Protocol = Vdram_serve.Protocol
 
 (* ----- shared arguments ------------------------------------------- *)
 
-let node_arg =
-  let parse s =
-    match float_of_string_opt (Filename.remove_extension s) with
-    | _ ->
-      (match Vdram_units.Quantity.parse_dim Vdram_units.Quantity.Length s with
-       | Ok metres -> Ok (Node.of_nm (metres *. 1e9))
-       | Error _ ->
-         (match float_of_string_opt s with
-          | Some nm -> Ok (Node.of_nm nm)
-          | None -> Error (`Msg (Printf.sprintf "bad node %S" s))))
-  in
-  let print ppf n = Format.fprintf ppf "%s" (Node.name n) in
-  Arg.conv (parse, print)
+let node_info =
+  Arg.info [ "node" ] ~docv:"NODE"
+    ~doc:"Technology node, e.g. 65nm (nearest roadmap node is used)."
 
+(* [--node] of [ablate], which sweeps designs at a node rather than
+   describing one device. *)
 let node =
-  Arg.(
-    value
-    & opt node_arg Node.N65
-    & info [ "node" ] ~docv:"NODE"
-        ~doc:"Technology node, e.g. 65nm (nearest roadmap node is used).")
+  let parse s = Result.map_error (fun e -> `Msg e) (Protocol.parse_node s) in
+  Arg.(value & opt (conv (parse, Node.pp)) Node.N65 & node_info)
 
 let file =
   Arg.(
@@ -62,6 +53,17 @@ let pattern_arg =
     & opt (some string) None
     & info [ "pattern" ] ~docv:"LOOP"
         ~doc:"Command loop, e.g. 'act nop wrt nop rd nop pre nop'.")
+
+(* The device a command describes, as the config object of a served
+   request: [--node] alone, or with the commodity knobs. *)
+let knobs node density_mbits io_width datarate =
+  { Protocol.source = None; node; density_mbits; io_width; datarate }
+
+let node_name = Arg.(value & opt (some string) None & node_info)
+let node_spec = Term.(const (fun n -> knobs n None None None) $ node_name)
+
+let knob_spec =
+  Term.(const knobs $ node_name $ density_mbits $ io_width $ datarate)
 
 let jobs_arg =
   Arg.(
@@ -239,60 +241,58 @@ let usage_error fmt =
       exit 2)
     fmt
 
-let load_config ?file ?density_mbits ?io_width ?datarate ~node () =
-  match file with
-  | Some path ->
-    (match Vdram_dsl.Elaborate.load_file path with
-     | Ok { Vdram_dsl.Elaborate.config; pattern } -> Ok (config, pattern)
-     | Error e ->
-       Error (Format.asprintf "%s: %a" path Vdram_dsl.Parser.pp_error e))
-  | None ->
-    let datarate =
-      match Vdram_serve.Protocol.parse_datarate datarate with
-      | Ok d -> d
-      | Error e -> usage_error "%s" e
-    in
-    let density_bits =
-      Option.map (fun m -> m *. (2.0 ** 20.0)) density_mbits
-    in
-    Ok
-      ( Config.commodity ?density_bits ?io_width ?datarate ~node (),
-        None )
+(* Every command resolves its device and pattern through the serve
+   protocol, so a one-shot run builds exactly what a served request
+   with the same description and knobs builds.  FILE, when given, is
+   the request's inline source.  Bad values exit 2. *)
+let device ?file spec =
+  let resolved =
+    match file with
+    | None -> Protocol.resolve_config spec
+    | Some path ->
+      (match In_channel.with_open_text path In_channel.input_all with
+       | source ->
+         Protocol.resolve_config { spec with Protocol.source = Some source }
+       | exception Sys_error e -> Error e)
+      |> Result.map_error (Printf.sprintf "%s: %s" path)
+  in
+  match resolved with Ok d -> d | Error e -> usage_error "%s" e
 
-let resolve_pattern config stored arg =
-  match arg with
-  | Some loop ->
-    (match Pattern.parse ~name:"cli pattern" loop with
-     | Ok p -> Ok p
-     | Error e -> Error e)
-  | None ->
-    Ok
-      (match stored with
-       | Some p -> p
-       | None -> Pattern.idd7_mixed config.Config.spec)
+let device_pattern ?file spec pattern =
+  let config, stored = device ?file spec in
+  match Protocol.resolve_pattern config stored pattern with
+  | Ok p -> (config, p)
+  | Error e -> usage_error "%s" e
+
+(* The [--format json] document of lint, check and advise: totals over
+   every report, one entry per file. *)
+let json_document reports files =
+  let total count = List.fold_left (fun a r -> a + count r) 0 reports in
+  let int n = Json.Num (float_of_int n) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", int 1);
+         ("errors", int (total Vdram_lint.Lint.errors));
+         ("warnings", int (total Vdram_lint.Lint.warnings));
+         ("files", Json.List files);
+       ])
+  ^ "\n"
 
 (* ----- power ------------------------------------------------------- *)
 
 let power_cmd =
-  let run file node density_mbits io_width datarate pattern =
-    match load_config ?file ?density_mbits ?io_width ?datarate ~node () with
-    | Error e -> fail "%s" e
-    | Ok (config, stored) ->
-      (match resolve_pattern config stored pattern with
-       | Error e -> fail "%s" e
-       | Ok p ->
-         (* Shared with [vdram serve]: same renderer, so a daemon
-            response is byte-equal to this stdout. *)
-         Vdram_serve.Render.power ~eval:Model.pattern_power
-           Format.std_formatter config p;
-         `Ok ())
+  let run file spec pattern =
+    let config, p = device_pattern ?file spec pattern in
+    (* Shared with [vdram serve]: same renderer, so a daemon response
+       is byte-equal to this stdout. *)
+    Vdram_serve.Render.power ~eval:Model.pattern_power Format.std_formatter
+      config p;
+    `Ok ()
   in
   let doc = "Compute power and currents of a device." in
   Cmd.v (Cmd.info "power" ~doc)
-    Term.(
-      ret
-        (const run $ file $ node $ density_mbits $ io_width $ datarate
-       $ pattern_arg))
+    Term.(ret (const run $ file $ knob_spec $ pattern_arg))
 
 (* ----- verify ------------------------------------------------------ *)
 
@@ -325,29 +325,24 @@ let sensitivity_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Entries to print.")
   in
-  let run file node top pattern mk_engine timings sup_flags =
-    match load_config ?file ~node () with
+  let run file spec top pattern mk_engine timings sup_flags =
+    let config, p = device_pattern ?file spec pattern in
+    match build_supervision sup_flags with
     | Error e -> fail "%s" e
-    | Ok (config, stored) ->
-      (match resolve_pattern config stored pattern with
-       | Error e -> fail "%s" e
-       | Ok p ->
-         (match build_supervision sup_flags with
-          | Error e -> fail "%s" e
-          | Ok (supervisor, fail_log) ->
-            let engine = mk_engine () in
-            run_supervised ~command:"sensitivity" ~timings ~engine ~supervisor
-              ~fail_log (fun () ->
-                let s =
-                  Vdram_analysis.Sensitivity.run ~engine ?supervisor
-                    ~pattern:p config
-                in
-                Vdram_serve.Render.sensitivity ~top Format.std_formatter s)))
+    | Ok (supervisor, fail_log) ->
+      let engine = mk_engine () in
+      run_supervised ~command:"sensitivity" ~timings ~engine ~supervisor
+        ~fail_log (fun () ->
+          let s =
+            Vdram_analysis.Sensitivity.run ~engine ?supervisor ~pattern:p
+              config
+          in
+          Vdram_serve.Render.sensitivity ~top Format.std_formatter s)
   in
   let doc = "Rank parameters by power impact (Fig 10 / Table III)." in
   Cmd.v (Cmd.info "sensitivity" ~doc)
     Term.(
-      ret (const run $ file $ node $ top $ pattern_arg $ engine_term
+      ret (const run $ file $ node_spec $ top $ pattern_arg $ engine_term
          $ timings_arg $ supervise_flags))
 
 (* ----- trends ------------------------------------------------------ *)
@@ -371,26 +366,24 @@ let trends_cmd =
 (* ----- schemes ----------------------------------------------------- *)
 
 let schemes_cmd =
-  let run file node mk_engine timings sup_flags =
-    match load_config ?file ~node () with
+  let run file spec mk_engine timings sup_flags =
+    let config, _ = device ?file spec in
+    match build_supervision sup_flags with
     | Error e -> fail "%s" e
-    | Ok (config, _) ->
-      (match build_supervision sup_flags with
-       | Error e -> fail "%s" e
-       | Ok (supervisor, fail_log) ->
-         let engine = mk_engine () in
-         run_supervised ~command:"schemes" ~timings ~engine ~supervisor
-           ~fail_log (fun () ->
-             let results =
-               Vdram_schemes.Evaluate.run_all ~engine ?supervisor config
-             in
-             Format.printf "baseline: %s@.@.%a@." config.Config.name
-               Vdram_schemes.Evaluate.pp_table results))
+    | Ok (supervisor, fail_log) ->
+      let engine = mk_engine () in
+      run_supervised ~command:"schemes" ~timings ~engine ~supervisor ~fail_log
+        (fun () ->
+          let results =
+            Vdram_schemes.Evaluate.run_all ~engine ?supervisor config
+          in
+          Format.printf "baseline: %s@.@.%a@." config.Config.name
+            Vdram_schemes.Evaluate.pp_table results)
   in
   let doc = "Evaluate the Section V power-reduction schemes." in
   Cmd.v (Cmd.info "schemes" ~doc)
     Term.(
-      ret (const run $ file $ node $ engine_term $ timings_arg
+      ret (const run $ file $ node_spec $ engine_term $ timings_arg
          $ supervise_flags))
 
 (* ----- simulate ---------------------------------------------------- *)
@@ -425,67 +418,63 @@ let simulate_cmd =
   let closed_page =
     Arg.(value & flag & info [ "closed-page" ] ~doc:"Close rows eagerly.")
   in
-  let run file node workload requests gap power_down closed_page =
-    match load_config ?file ~node () with
-    | Error e -> fail "%s" e
-    | Ok (config, _) ->
-      let spec = config.Config.spec in
-      let banks = spec.Spec.banks in
-      let rows = 1024 and columns = 128 in
-      let trace =
-        match workload with
-        | `Uniform ->
-          Vdram_sim.Trace.uniform ~rng:(Vdram_sim.Trace.rng 42)
-            ~requests ~arrival_gap:gap ~banks ~rows ~columns
-            ~write_fraction:0.3
-        | `Stream ->
-          Vdram_sim.Trace.streaming ~requests ~arrival_gap:gap ~banks ~rows
-            ~columns ~write_fraction:0.3
-        | `Hotspot ->
-          Vdram_sim.Trace.hotspot ~rng:(Vdram_sim.Trace.rng 42)
-            ~requests ~arrival_gap:gap ~banks ~rows ~columns
-            ~write_fraction:0.3 ~hot_rows:16 ~hot_fraction:0.8
-      in
-      let page_policy =
-        if closed_page then Vdram_sim.Controller.Closed_page
-        else Vdram_sim.Controller.Open_page
-      in
-      let power_down =
-        match power_down with
-        | Some n -> Vdram_sim.Controller.Precharge_power_down n
-        | None -> Vdram_sim.Controller.No_power_down
-      in
-      let run = Vdram_sim.Sim.simulate ~page_policy ~power_down config trace in
-      Format.printf "%a@." Vdram_sim.Sim.pp_run run;
-      `Ok ()
+  let run file spec workload requests gap power_down closed_page =
+    let config, _ = device ?file spec in
+    let spec = config.Config.spec in
+    let banks = spec.Spec.banks in
+    let rows = 1024 and columns = 128 in
+    let trace =
+      match workload with
+      | `Uniform ->
+        Vdram_sim.Trace.uniform ~rng:(Vdram_sim.Trace.rng 42)
+          ~requests ~arrival_gap:gap ~banks ~rows ~columns
+          ~write_fraction:0.3
+      | `Stream ->
+        Vdram_sim.Trace.streaming ~requests ~arrival_gap:gap ~banks ~rows
+          ~columns ~write_fraction:0.3
+      | `Hotspot ->
+        Vdram_sim.Trace.hotspot ~rng:(Vdram_sim.Trace.rng 42)
+          ~requests ~arrival_gap:gap ~banks ~rows ~columns
+          ~write_fraction:0.3 ~hot_rows:16 ~hot_fraction:0.8
+    in
+    let page_policy =
+      if closed_page then Vdram_sim.Controller.Closed_page
+      else Vdram_sim.Controller.Open_page
+    in
+    let power_down =
+      match power_down with
+      | Some n -> Vdram_sim.Controller.Precharge_power_down n
+      | None -> Vdram_sim.Controller.No_power_down
+    in
+    let run = Vdram_sim.Sim.simulate ~page_policy ~power_down config trace in
+    Format.printf "%a@." Vdram_sim.Sim.pp_run run;
+    `Ok ()
   in
   let doc = "Run a workload through the controller + power model." in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       ret
-        (const run $ file $ node $ workload $ requests $ gap $ power_down
-       $ closed_page))
+        (const run $ file $ node_spec $ workload $ requests $ gap
+       $ power_down $ closed_page))
 
 (* ----- validate ------------------------------------------------------ *)
 
 let validate_cmd =
-  let run file node =
-    match load_config ?file ~node () with
-    | Error e -> fail "%s" e
-    | Ok (config, _) ->
-      (match Vdram_core.Validate.check config with
-       | [] ->
-         Format.printf "%s: consistent@." config.Config.name;
-         `Ok ()
-       | findings ->
-         List.iter
-           (fun f -> Format.printf "%a@." Vdram_core.Validate.pp_finding f)
-           findings;
-         if Vdram_core.Validate.is_clean config then `Ok ()
-         else fail "%s has errors" config.Config.name)
+  let run file spec =
+    let config, _ = device ?file spec in
+    match Vdram_core.Validate.check config with
+    | [] ->
+      Format.printf "%s: consistent@." config.Config.name;
+      `Ok ()
+    | findings ->
+      List.iter
+        (fun f -> Format.printf "%a@." Vdram_core.Validate.pp_finding f)
+        findings;
+      if Vdram_core.Validate.is_clean config then `Ok ()
+      else fail "%s has errors" config.Config.name
   in
   let doc = "Check a description for semantic consistency." in
-  Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const run $ file $ node))
+  Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const run $ file $ node_spec))
 
 (* ----- lint --------------------------------------------------------- *)
 
@@ -630,13 +619,7 @@ let lint_cmd =
         (match format with
          | `Sarif -> print_string (Lint.to_sarif reports)
          | `Json ->
-           let total count =
-             List.fold_left (fun a r -> a + count r) 0 reports
-           in
-           Printf.printf
-             "{\"version\":1,\"errors\":%d,\"warnings\":%d,\"files\":[%s]}\n"
-             (total Lint.errors) (total Lint.warnings)
-             (String.concat "," (List.map Lint.to_json reports))
+           print_string (json_document reports (List.map Lint.json reports))
          | `Text ->
            List.iter
              (fun (r : Lint.report) ->
@@ -896,13 +879,8 @@ let check_cmd =
          (match format with
           | `Sarif -> Format.fprintf ppf "%s" (Lint.to_sarif reports)
           | `Json ->
-            let total count =
-              List.fold_left (fun a r -> a + count r) 0 reports
-            in
-            Format.fprintf ppf
-              "{\"version\":1,\"errors\":%d,\"warnings\":%d,\"files\":[%s]}\n"
-              (total Lint.errors) (total Lint.warnings)
-              (String.concat "," (List.map Lint.to_json reports))
+            Format.fprintf ppf "%s"
+              (json_document reports (List.map Lint.json reports))
           | `Text ->
             List.iter
               (fun (f, r) ->
@@ -1082,14 +1060,9 @@ let advise_cmd =
         (match format with
          | `Sarif -> print_string (Lint.to_sarif reports)
          | `Json ->
-           let total count =
-             List.fold_left (fun a r -> a + count r) 0 reports
-           in
-           Printf.printf
-             "{\"version\":1,\"errors\":%d,\"warnings\":%d,\"files\":[%s]}\n"
-             (total Lint.errors) (total Lint.warnings)
-             (String.concat ","
-                (List.map (fun (_, a) -> Advise.to_json a) results))
+           print_string
+             (json_document reports
+                (List.map (fun (_, a) -> Advise.json a) results))
          | `Text ->
            List.iter
              (fun (f, (a : Advise.t)) ->
@@ -1144,60 +1117,53 @@ let corners_cmd =
       value & opt float 0.10
       & info [ "spread" ] ~doc:"Half-width of the parameter band (0.10 = +-10%).")
   in
-  let run file node samples spread pattern mk_engine timings sup_flags =
-    match load_config ?file ~node () with
+  let run file spec samples spread pattern mk_engine timings sup_flags =
+    let config, p = device_pattern ?file spec pattern in
+    match build_supervision sup_flags with
     | Error e -> fail "%s" e
-    | Ok (config, stored) ->
-      (match resolve_pattern config stored pattern with
-       | Error e -> fail "%s" e
-       | Ok p ->
-         (match build_supervision sup_flags with
-          | Error e -> fail "%s" e
-          | Ok (supervisor, fail_log) ->
-            let engine = mk_engine () in
-            run_supervised ~command:"corners" ~timings ~engine ~supervisor
-              ~fail_log (fun () ->
-                let d =
-                  Vdram_analysis.Corners.run ~engine ?supervisor ~samples
-                    ~spread ~pattern:p config
-                in
-                Vdram_serve.Render.corners ~config_name:config.Config.name
-                  ~pattern_name:p.Pattern.name Format.std_formatter d)))
+    | Ok (supervisor, fail_log) ->
+      let engine = mk_engine () in
+      run_supervised ~command:"corners" ~timings ~engine ~supervisor ~fail_log
+        (fun () ->
+          let d =
+            Vdram_analysis.Corners.run ~engine ?supervisor ~samples ~spread
+              ~pattern:p config
+          in
+          Vdram_serve.Render.corners ~config_name:config.Config.name
+            ~pattern_name:p.Pattern.name Format.std_formatter d)
   in
   let doc = "Monte-Carlo parameter spread (the vendor-spread story)." in
   Cmd.v (Cmd.info "corners" ~doc)
     Term.(
       ret
-        (const run $ file $ node $ samples $ spread $ pattern_arg
+        (const run $ file $ node_spec $ samples $ spread $ pattern_arg
        $ engine_term $ timings_arg $ supervise_flags))
 
 (* ----- states ------------------------------------------------------- *)
 
 let states_cmd =
-  let run file node =
-    match load_config ?file ~node () with
-    | Error e -> fail "%s" e
-    | Ok (config, _) ->
-      Format.printf "%s@." config.Config.name;
-      List.iter
-        (fun st ->
-          Format.printf "  %-18s %10s@." (Model.state_name st)
-            (Vdram_units.Si.format_eng ~unit_symbol:"W"
-               (Model.state_power config st)))
-        [ Model.Active_standby; Model.Precharge_standby; Model.Power_down;
-          Model.Self_refresh ];
-      Format.printf "  %-18s %10s@." "Idd5B (burst ref)"
-        (Vdram_units.Si.format_eng ~unit_symbol:"A" (Model.idd5b config));
-      Format.printf "@.peak (windowed) currents:@.";
-      List.iter
-        (fun p -> Format.printf "  %a@." Vdram_core.Peak.pp p)
-        (Vdram_core.Peak.all config);
-      Format.printf "  worst case (tFAW + burst): %6.1f mA@."
-        (Vdram_core.Peak.worst_case config *. 1e3);
-      `Ok ()
+  let run file spec =
+    let config, _ = device ?file spec in
+    Format.printf "%s@." config.Config.name;
+    List.iter
+      (fun st ->
+        Format.printf "  %-18s %10s@." (Model.state_name st)
+          (Vdram_units.Si.format_eng ~unit_symbol:"W"
+             (Model.state_power config st)))
+      [ Model.Active_standby; Model.Precharge_standby; Model.Power_down;
+        Model.Self_refresh ];
+    Format.printf "  %-18s %10s@." "Idd5B (burst ref)"
+      (Vdram_units.Si.format_eng ~unit_symbol:"A" (Model.idd5b config));
+    Format.printf "@.peak (windowed) currents:@.";
+    List.iter
+      (fun p -> Format.printf "  %a@." Vdram_core.Peak.pp p)
+      (Vdram_core.Peak.all config);
+    Format.printf "  worst case (tFAW + burst): %6.1f mA@."
+      (Vdram_core.Peak.worst_case config *. 1e3);
+    `Ok ()
   in
   let doc = "Standby-state powers and the refresh current." in
-  Cmd.v (Cmd.info "states" ~doc) Term.(ret (const run $ file $ node))
+  Cmd.v (Cmd.info "states" ~doc) Term.(ret (const run $ file $ node_spec))
 
 (* ----- ablate ------------------------------------------------------- *)
 
@@ -1254,7 +1220,8 @@ let export_cmd =
       value & opt string "."
       & info [ "outdir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let run node outdir =
+  let run spec outdir =
+    let config, _ = device spec in
     let w name contents =
       let path = Filename.concat outdir name in
       Vdram_analysis.Csv.write_file path contents;
@@ -1266,13 +1233,11 @@ let export_cmd =
     w "fig9_ddr3.csv"
       (Vdram_analysis.Csv.verification (Vdram_datasheets.Compare.fig9 ()));
     w "sensitivity.csv"
-      (Vdram_analysis.Csv.sensitivity
-         (Vdram_analysis.Sensitivity.run
-            (Config.commodity ~node ())));
+      (Vdram_analysis.Csv.sensitivity (Vdram_analysis.Sensitivity.run config));
     `Ok ()
   in
   let doc = "Export figure data as CSV for external plotting." in
-  Cmd.v (Cmd.info "export" ~doc) Term.(ret (const run $ node $ outdir))
+  Cmd.v (Cmd.info "export" ~doc) Term.(ret (const run $ node_spec $ outdir))
 
 (* ----- channel ------------------------------------------------------ *)
 
@@ -1288,8 +1253,8 @@ let channel_cmd =
       value & opt float 8.0
       & info [ "capacity-gb" ] ~docv:"GB" ~doc:"DIMM capacity in GB.")
   in
-  let run node utilization capacity_gb =
-    let cfg = Config.commodity ~node () in
+  let run spec utilization capacity_gb =
+    let cfg, _ = device spec in
     let ch = Vdram_link.Channel.for_config cfg in
     Format.printf "channel: %a@." Vdram_link.Channel.pp ch;
     Format.printf "link power at %.0f%%: %s (%.2f pJ/bit)@.@."
@@ -1302,28 +1267,26 @@ let channel_cmd =
       capacity_gb (utilization *. 100.0);
     List.iter
       (fun r -> Format.printf "  %a@." Vdram_link.Dimm.pp_result r)
-      (Vdram_link.Dimm.compare_widths ~node ~capacity_bits
+      (Vdram_link.Dimm.compare_widths ~node:cfg.Config.node ~capacity_bits
          ~utilization [ 4; 8; 16 ]);
     `Ok ()
   in
   let doc = "Link and DIMM-level power (device + channel)." in
   Cmd.v (Cmd.info "channel" ~doc)
-    Term.(ret (const run $ node $ utilization $ capacity_gb))
+    Term.(ret (const run $ node_spec $ utilization $ capacity_gb))
 
 (* ----- dump -------------------------------------------------------- *)
 
 let dump_cmd =
-  let run node density_mbits io_width datarate =
-    match load_config ?density_mbits ?io_width ?datarate ~node () with
-    | Error e -> fail "%s" e
-    | Ok (config, _) ->
-      print_string
-        (Vdram_dsl.Printer.to_dsl ~pattern:Pattern.paper_example config);
-      `Ok ()
+  let run spec =
+    let config, _ = device spec in
+    print_string
+      (Vdram_dsl.Printer.to_dsl ~pattern:Pattern.paper_example config);
+    `Ok ()
   in
   let doc = "Emit the description-language source of a roadmap device." in
   Cmd.v (Cmd.info "dump" ~doc)
-    Term.(ret (const run $ node $ density_mbits $ io_width $ datarate))
+    Term.(ret (const run $ knob_spec))
 
 (* ----- serve ------------------------------------------------------- *)
 

@@ -4,9 +4,9 @@
 
     The JSON is a contract for downstream tooling — notably the
     future `vdram search` pruner, which reads the [monotonicity]
-    entries to discard dominated candidates.  Floats are printed with
-    [%.17g] so parsed values round-trip to the exact doubles
-    certified. *)
+    entries to discard dominated candidates.  Floats are printed in
+    the shortest form that parses back to the same double, so parsed
+    values are the exact doubles certified. *)
 
 type sweep_entry = {
   node : string;

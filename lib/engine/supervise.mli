@@ -159,5 +159,5 @@ val pp_counters : Format.formatter -> counters -> unit
 val report_to_json : command:string -> t -> string
 (** The machine-readable failure report ([--fail-log]): version,
     command, policy, fault plan, abort flag, counters, and one record
-    per failure.  Stable schema (version 1); an empty batch yields
-    ["failures": []]. *)
+    per failure, as one compact JSON line.  Stable schema (version
+    1); an empty batch yields an empty ["failures"] array. *)

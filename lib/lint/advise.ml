@@ -815,43 +815,58 @@ let pp_summary ppf s =
     (Si.format_eng ~unit_symbol:"J" s.floor)
     s.ideal_cycles (100.0 *. s.waste)
 
-let summary_json (s : summary) =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\"pattern\":\"%s\",\"cycles\":%d,\"banks\":%d,\"schedulable\":%b,\
-     \"underspaced\":%d,\"utilization\":{\"command_bus\":%.6f,\
-     \"data_bus\":%.6f,\"bank_open\":%.6f},\"slack\":["
-    s.pattern s.cycles s.banks s.schedulable s.underspaced
-    s.usage.Legality.command_bus s.usage.Legality.data_bus
-    s.usage.Legality.bank_open;
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"slot\":%d,\"command\":\"%s\",\"slack\":%d,\"binding\":\"%s\"}"
-        e.slot
-        (Legality.command_name e.command)
-        e.slack (kind_label e.binding))
-    s.slacks;
-  Buffer.add_string buf "],\"idle_windows\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"start\":%d,\"length\":%d,\"eligible\":%b,\"savings_j\":%.6e}"
-        w.start_slot w.length w.eligible w.savings)
-    s.idle;
-  Printf.bprintf buf
-    "],\"energy_per_iteration_j\":%.6e,\"certified_floor_j\":%.6e,\
-     \"ideal_cycles\":%d,\"waste\":%.6f}"
-    s.energy s.floor s.ideal_cycles s.waste;
-  Buffer.contents buf
+module Json = Vdram_json.Json
 
-let to_json t =
-  let base = Lint.to_json t.report in
-  match t.summary with
-  | None -> base
-  | Some s ->
-    (* [Lint.to_json] always ends in "]}"; graft the summary in. *)
-    String.sub base 0 (String.length base - 1)
-    ^ ",\"advise\":" ^ summary_json s ^ "}"
+let json_of_summary (s : summary) =
+  let int n = Json.Num (float_of_int n) and num x = Json.Num x in
+  Json.Obj
+    [
+      ("pattern", Json.Str s.pattern);
+      ("cycles", int s.cycles);
+      ("banks", int s.banks);
+      ("schedulable", Json.Bool s.schedulable);
+      ("underspaced", int s.underspaced);
+      ( "utilization",
+        Json.Obj
+          [
+            ("command_bus", num s.usage.Legality.command_bus);
+            ("data_bus", num s.usage.Legality.data_bus);
+            ("bank_open", num s.usage.Legality.bank_open);
+          ] );
+      ( "slack",
+        Json.List
+          (List.map
+             (fun e ->
+               Json.Obj
+                 [
+                   ("slot", int e.slot);
+                   ("command", Json.Str (Legality.command_name e.command));
+                   ("slack", int e.slack);
+                   ("binding", Json.Str (kind_label e.binding));
+                 ])
+             s.slacks) );
+      ( "idle_windows",
+        Json.List
+          (List.map
+             (fun w ->
+               Json.Obj
+                 [
+                   ("start", int w.start_slot);
+                   ("length", int w.length);
+                   ("eligible", Json.Bool w.eligible);
+                   ("savings_j", num w.savings);
+                 ])
+             s.idle) );
+      ("energy_per_iteration_j", num s.energy);
+      ("certified_floor_j", num s.floor);
+      ("ideal_cycles", int s.ideal_cycles);
+      ("waste", num s.waste);
+    ]
+
+let json t =
+  match (Lint.json t.report, t.summary) with
+  | Json.Obj members, Some s ->
+    Json.Obj (members @ [ ("advise", json_of_summary s) ])
+  | j, _ -> j
+
+let to_json t = Json.to_string (json t)

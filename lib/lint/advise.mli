@@ -89,6 +89,9 @@ val sweep_legal : Vdram_core.Pattern.t -> bool
 
 val pp_summary : Format.formatter -> summary -> unit
 
+val json : t -> Vdram_json.Json.t
+(** The {!Lint.json} object with an ["advise"] member appended when a
+    summary exists. *)
+
 val to_json : t -> string
-(** The {!Lint.to_json} object with an ["advise"] member grafted in
-    when a summary exists. *)
+(** {!json}, printed. *)

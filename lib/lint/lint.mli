@@ -38,9 +38,12 @@ val pp_text : Format.formatter -> report -> unit
 (** Compiler-style rendering of every diagnostic, with source excerpts
     and caret underlines. *)
 
-val to_json : report -> string
+val json : report -> Vdram_json.Json.t
 (** One JSON object:
     [{"file":...,"errors":N,"warnings":M,"diagnostics":[...]}]. *)
+
+val to_json : report -> string
+(** {!json}, printed. *)
 
 val fixes : ?only:string -> report -> Vdram_diagnostics.Fix.t list
 (** Every structured fix-it attached to the report's diagnostics, in

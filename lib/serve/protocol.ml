@@ -1,6 +1,5 @@
 (* Typed requests over the line-delimited JSON protocol; decoding and
-   device resolution shared with (and equivalent to) the one-shot
-   CLI. *)
+   the device resolution the one-shot CLI uses too. *)
 
 module Config = Vdram_core.Config
 module Pattern = Vdram_core.Pattern
@@ -159,50 +158,67 @@ let work_key req =
       (Vdram_engine.Fingerprint.hex
          (Vdram_engine.Fingerprint.of_value (kind, req.deadline)))
 
-(* ----- device resolution (CLI-equivalent) --------------------------- *)
+(* ----- device resolution (shared with the CLI) ---------------------- *)
 
 let parse_node s =
-  match Quantity.parse_dim Quantity.Length s with
-  | Ok metres -> Ok (Node.of_nm (metres *. 1e9))
-  | Error _ ->
-    (match float_of_string_opt s with
-     | Some nm -> Ok (Node.of_nm nm)
-     | None -> Error (Printf.sprintf "bad node %S" s))
+  let nm =
+    match Quantity.parse_dim Quantity.Length s with
+    | Ok metres -> Some (metres *. 1e9)
+    | Error _ -> float_of_string_opt s
+  in
+  match nm with
+  | Some nm when Float.is_finite nm && nm > 0.0 -> Ok (Node.of_nm nm)
+  | _ -> Error (Printf.sprintf "bad node %S" s)
 
 let parse_datarate = function
   | None -> Ok None
   | Some s ->
     (match Quantity.parse_dim Quantity.Datarate s with
-     | Ok v -> Ok (Some v)
-     | Error _ -> Error (Printf.sprintf "bad datarate %S" s))
+     | Ok v when Float.is_finite v && v > 0.0 -> Ok (Some v)
+     | _ -> Error (Printf.sprintf "bad datarate %S" s))
 
 let resolve_config spec =
   match spec.source with
   | Some src ->
     (match Vdram_dsl.Elaborate.load_string src with
      | Ok { Vdram_dsl.Elaborate.config; pattern; _ } -> Ok (config, pattern)
-     | Error e ->
-       Error (Format.asprintf "source: %a" Vdram_dsl.Parser.pp_error e))
+     | Error e -> Error (Format.asprintf "%a" Vdram_dsl.Parser.pp_error e))
   | None ->
     let ( let* ) = Result.bind in
     let* node =
       match spec.node with None -> Ok Node.N65 | Some s -> parse_node s
     in
     let* datarate = parse_datarate spec.datarate in
+    let* () =
+      match spec.io_width with
+      | Some w when w < 1 ->
+        Error (Printf.sprintf "bad I/O width %d (must be at least 1)" w)
+      | _ -> Ok ()
+    in
+    let* () =
+      match spec.density_mbits with
+      | Some m when not (Float.is_finite m && m > 0.0) ->
+        Error
+          (Printf.sprintf "bad density %g Mbit (must be finite and positive)" m)
+      | _ -> Ok ()
+    in
     let density_bits =
       Option.map (fun m -> m *. (2.0 ** 20.0)) spec.density_mbits
     in
-    Ok
-      ( Config.commodity ?density_bits ?io_width:spec.io_width ?datarate
-          ~node (),
-        None )
+    (* In-range knobs can still combine into no device (a bank that is
+       not a whole number of sub-array rows, an I/O width as wide as a
+       page); the constructors reject those with [Invalid_argument]. *)
+    (match
+       Config.commodity ?density_bits ?io_width:spec.io_width ?datarate
+         ~node ()
+     with
+     | config -> Ok (config, None)
+     | exception Invalid_argument m ->
+       Error (Printf.sprintf "bad device: %s" m))
 
 let resolve_pattern config stored arg =
   match arg with
-  | Some loop ->
-    (match Pattern.parse ~name:"request pattern" loop with
-     | Ok p -> Ok p
-     | Error e -> Error e)
+  | Some loop -> Pattern.parse ~name:"explicit pattern" loop
   | None ->
     Ok
       (match stored with

@@ -3,10 +3,11 @@
     One request per line, one JSON object per frame; see
     [doc/SERVE.md] for the wire-level description.  This module is
     pure: it decodes frames into typed requests, resolves the embedded
-    configuration/pattern the same way the one-shot CLI does (that
-    equivalence is what makes serve responses bit-identical to CLI
-    output), and fingerprints the work a request describes so the
-    server can coalesce identical in-flight requests. *)
+    configuration/pattern (the one-shot CLI resolves its arguments
+    through the same two functions, which is what makes serve
+    responses bit-identical to CLI output), and fingerprints the work
+    a request describes so the server can coalesce identical
+    in-flight requests. *)
 
 (** How a request names the device: an inline [.dram] source, or the
     commodity-device knobs of the CLI ([--node], [--density-mbits],
@@ -60,23 +61,35 @@ val work_key : request -> string option
     [id] — or [None] for [Ping]/[Stats] (never coalesced).  Two
     in-flight requests with equal keys may share one computation. *)
 
+val parse_node : string -> (Vdram_tech.Node.t, string) result
+(** A technology node such as ["65nm"] or a bare nanometre count,
+    rounded to the nearest roadmap node.  A value that is not a finite
+    positive length is an error. *)
+
 val parse_datarate : string option -> (float option, string) result
-(** A per-pin data rate such as ["1.6Gbps"], in bit/s.  An unparseable
-    rate is an error, never the node's default.  The CLI's
-    [--datarate] goes through this too. *)
+(** A per-pin data rate such as ["1.6Gbps"], in bit/s.  An unparseable,
+    non-finite or non-positive rate is an error, never the node's
+    default. *)
 
 val resolve_config :
   config_spec ->
   (Vdram_core.Config.t * Vdram_core.Pattern.t option, string) result
-(** Build the device exactly as the CLI's config loading does: inline
-    [source] through the DSL elaborator (yielding its stored pattern,
-    if any), otherwise the commodity device at the requested node.  A
-    bad node or data rate is an error. *)
+(** The device a request or a CLI invocation describes; the CLI runs
+    every command through this and {!resolve_pattern}, so a served
+    response and the one-shot output agree by construction.  An
+    inline [source] (the CLI passes its FILE's contents) goes through
+    the DSL elaborator, yielding its stored pattern, if any; the error
+    is the elaborator's ["line N: ..."] message, which the caller
+    prefixes with the source's name.  Otherwise the commodity device
+    at the requested node.  A bad node or data rate, an I/O width
+    below 1, a non-finite or non-positive density, or knobs that
+    combine into no device are errors. *)
 
 val resolve_pattern :
   Vdram_core.Config.t ->
   Vdram_core.Pattern.t option ->
   string option ->
   (Vdram_core.Pattern.t, string) result
-(** CLI pattern precedence: an explicit loop string, else the
-    description's stored pattern, else the Idd7-like mixed default. *)
+(** Pattern precedence: an explicit loop string (named
+    ["explicit pattern"]), else the description's stored pattern, else
+    the Idd7-like mixed default. *)

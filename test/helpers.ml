@@ -30,3 +30,18 @@ let power cfg pattern =
   (Vdram_core.Model.pattern_power cfg pattern).Vdram_core.Report.power
 
 let qcheck = QCheck_alcotest.to_alcotest
+
+(* Machine-readable outputs are read back with the program's own JSON
+   parser; [at] walks object members and fails naming the path. *)
+let json s =
+  match Vdram_json.Json.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable JSON (%s): %S" e s
+
+let at path j =
+  List.fold_left
+    (fun j k ->
+      match Vdram_json.Json.mem k j with
+      | Some v -> v
+      | None -> Alcotest.failf "JSON lacks member %s" (String.concat "." path))
+    j path

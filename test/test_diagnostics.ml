@@ -5,6 +5,7 @@
 module Code = Vdram_diagnostics.Code
 module Span = Vdram_diagnostics.Span
 module D = Vdram_diagnostics.Diagnostic
+module Json = Vdram_json.Json
 module Parser = Vdram_dsl.Parser
 module Lint = Vdram_lint.Lint
 module Passes = Vdram_lint.Passes
@@ -247,14 +248,104 @@ let test_fixture_golden_text () =
 let test_fixture_json () =
   if Sys.file_exists fixture then begin
     let r = Lint.run_file fixture in
-    let json = Lint.to_json r in
-    List.iter
-      (fun part ->
-        Helpers.check_true (part ^ " in JSON") (contains json part))
-      [ "\"errors\":1"; "\"warnings\":0"; "\"code\":\"V0301\"";
-        "\"severity\":\"error\""; "\"line\":12"; "\"col\":36";
-        "\"end_col\":44"; "\"file\":\"fixtures/bad_vpp_headroom.dram\"" ]
+    let json = Helpers.json (Lint.to_json r) in
+    let check path expected =
+      Helpers.check_true
+        (String.concat "." path ^ " in JSON")
+        (Helpers.at path json = expected)
+    in
+    check [ "errors" ] (Json.Num 1.0);
+    check [ "warnings" ] (Json.Num 0.0);
+    check [ "file" ] (Json.Str "fixtures/bad_vpp_headroom.dram");
+    match Json.list_ (Helpers.at [ "diagnostics" ] json) with
+    | Some [ d ] ->
+      List.iter
+        (fun (k, v) ->
+          Helpers.check_true (k ^ " in JSON") (Helpers.at [ k ] d = v))
+        [ ("code", Json.Str "V0301"); ("severity", Json.Str "error");
+          ("line", Json.Num 12.0); ("col", Json.Num 36.0);
+          ("end_col", Json.Num 44.0);
+          ("file", Json.Str "fixtures/bad_vpp_headroom.dram") ]
+    | _ -> Alcotest.fail "expected exactly one diagnostic"
   end
+
+let test_json_hostile_strings () =
+  (* Quotes, backslashes, newlines and other control characters in
+     file names, messages and the command survive every machine output:
+     each parses, stays on one line, and returns the string intact. *)
+  let module Advise = Vdram_lint.Advise in
+  let module Abox = Vdram_absint.Abox in
+  let module Certificate = Vdram_absint.Certificate in
+  let module Supervise = Vdram_engine.Supervise in
+  let nasty = "q\"b\\s\nn\tt\r\001\031.dram" in
+  let parse what s =
+    Helpers.check_true (what ^ " is one line") (not (String.contains s '\n'));
+    Helpers.json s
+  in
+  let intact what j =
+    Alcotest.(check (option string)) what (Some nasty) (Json.str j)
+  in
+  let only what j =
+    match Json.list_ j with
+    | Some [ x ] -> x
+    | _ -> Alcotest.failf "expected exactly one %s" what
+  in
+  (* lint and SARIF *)
+  let span = Span.of_cols ~file:nasty ~start:1 ~stop:3 1 in
+  let d =
+    D.errorf ~span ~notes:[ nasty ] ~help:nasty
+      ~fixes:[ Vdram_diagnostics.Fix.v ~span nasty ]
+      ~code:"V0001" "%s" nasty
+  in
+  let report =
+    { Lint.file = Some nasty; source = [| nasty |]; diagnostics = [ d ] }
+  in
+  let lint = parse "lint" (Lint.to_json report) in
+  intact "lint file" (Helpers.at [ "file" ] lint);
+  let ld = only "diagnostic" (Helpers.at [ "diagnostics" ] lint) in
+  intact "lint message" (Helpers.at [ "message" ] ld);
+  intact "lint help" (Helpers.at [ "help" ] ld);
+  let sarif = parse "SARIF" (Lint.to_sarif [ report ]) in
+  let run = only "SARIF run" (Helpers.at [ "runs" ] sarif) in
+  let result = only "SARIF result" (Helpers.at [ "results" ] run) in
+  intact "SARIF message" (Helpers.at [ "message"; "text" ] result);
+  (* advise *)
+  let source =
+    In_channel.with_open_text "../examples/inefficient.dram"
+      In_channel.input_all
+  in
+  let advise =
+    parse "advise" (Advise.to_json (Advise.run ~file:nasty source))
+  in
+  intact "advise file" (Helpers.at [ "file" ] advise);
+  ignore (Helpers.at [ "advise"; "pattern" ] advise : Json.t);
+  (* certificate *)
+  let cfg = { (Lazy.force Helpers.ddr3_1g) with Config.name = nasty } in
+  let pattern =
+    Result.get_ok (Vdram_core.Pattern.parse ~name:nasty "act nop rd nop pre")
+  in
+  let lens = List.hd Vdram_analysis.Lenses.voltages in
+  let box = Abox.v ~base:cfg [ Abox.default_axis lens ] in
+  let cert =
+    Certificate.v ~config:cfg ~pattern ~box ~splits:1
+      ~bounds:(Vdram_absint.Bounds.compute ~splits:1 box pattern)
+      ~monotonicity:[] ()
+  in
+  let cert = parse "certificate" (Certificate.to_json cert) in
+  intact "certificate config name" (Helpers.at [ "config"; "name" ] cert);
+  intact "certificate pattern" (Helpers.at [ "pattern" ] cert);
+  (* fail log *)
+  let sup = Supervise.create ~faults:Vdram_engine.Faults.none () in
+  let engine = Vdram_engine.Engine.serial () in
+  ignore (Supervise.map sup engine (fun () -> failwith nasty) [ () ]);
+  let log =
+    parse "fail log"
+      (String.trim (Supervise.report_to_json ~command:nasty sup))
+  in
+  intact "fail-log command" (Helpers.at [ "command" ] log);
+  let failure = only "failure" (Helpers.at [ "failures" ] log) in
+  Helpers.check_true "fail-log message is a string"
+    (Json.str (Helpers.at [ "message" ] failure) <> None)
 
 let test_missing_file () =
   let r = Lint.run_file "fixtures/no_such_file.dram" in
@@ -300,6 +391,8 @@ let suite =
     Alcotest.test_case "suppression" `Quick test_suppress;
     Alcotest.test_case "fixture golden text" `Quick test_fixture_golden_text;
     Alcotest.test_case "fixture JSON" `Quick test_fixture_json;
+    Alcotest.test_case "JSON outputs escape hostile strings" `Quick
+      test_json_hostile_strings;
     Alcotest.test_case "missing file" `Quick test_missing_file;
     Alcotest.test_case "examples lint clean" `Quick test_examples_lint_clean;
   ]

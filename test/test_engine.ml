@@ -4,6 +4,7 @@
    model. *)
 
 module Engine = Vdram_engine.Engine
+module Json = Vdram_json.Json
 module Pool = Vdram_engine.Pool
 module Model = Vdram_core.Model
 module Config = Vdram_core.Config
@@ -611,36 +612,32 @@ let fail_log_schema () =
     List.init 40 (fun i -> scale_bitline cfg (0.9 +. (0.004 *. float_of_int i)))
   in
   ignore (Supervise.map sup engine (fun c -> Engine.eval engine c p) cfgs);
-  let json = Supervise.report_to_json ~command:"test" sup in
-  let has sub =
-    let n = String.length json and m = String.length sub in
-    let rec go i =
-      i + m <= n && (String.sub json i m = sub || go (i + 1))
-    in
-    go 0
-  in
+  let log = Helpers.json (Supervise.report_to_json ~command:"test" sup) in
+  let field k = Helpers.at [ k ] log in
+  Helpers.check_true "version 1" (field "version" = Json.Num 1.0);
+  Helpers.check_true "command" (field "command" = Json.Str "test");
+  Helpers.check_true "keep_going" (field "keep_going" = Json.Bool true);
+  Helpers.check_true "faults"
+    (field "faults" = Json.Str "seed=11,rate=0.1,raise=mix");
+  Helpers.check_true "aborted" (field "aborted" = Json.Bool false);
+  let failures = Option.value ~default:[] (Json.list_ (field "failures")) in
+  Helpers.check_true "fail log carries a mix-stage failure"
+    (List.exists (fun f -> Helpers.at [ "stage" ] f = Json.Str "mix") failures);
   List.iter
-    (fun needle ->
-      Helpers.check_true (Printf.sprintf "fail log carries %s" needle)
-        (has needle))
-    [ "\"version\": 1"; "\"command\": \"test\""; "\"keep_going\": true";
-      "\"faults\": \"seed=11,rate=0.1,raise=mix\""; "\"aborted\": false";
-      "\"stage\": \"mix\""; "\"injected\": true"; "\"fingerprint\"";
-      "\"elapsed_ms\"" ];
-  Helpers.check_true "no spurious non-injected failures"
-    (not (has "\"injected\": false"));
+    (fun f ->
+      Helpers.check_true "every failure is injected"
+        (Helpers.at [ "injected" ] f = Json.Bool true);
+      Helpers.check_true "fingerprint is a string"
+        (Json.str (Helpers.at [ "fingerprint" ] f) <> None);
+      Helpers.check_true "elapsed_ms is a number"
+        (Json.num (Helpers.at [ "elapsed_ms" ] f) <> None))
+    failures;
   let clean = quiet () in
   ignore
     (Supervise.map clean engine (fun c -> Engine.eval engine c p) cfgs);
-  let empty = Supervise.report_to_json ~command:"test" clean in
+  let empty = Helpers.json (Supervise.report_to_json ~command:"test" clean) in
   Helpers.check_true "clean run reports an empty failure array"
-    (let n = String.length empty in
-     let sub = "\"failures\": []" in
-     let m = String.length sub in
-     let rec go i =
-       i + m <= n && (String.sub empty i m = sub || go (i + 1))
-     in
-     go 0)
+    (Helpers.at [ "failures" ] empty = Json.List [])
 
 (* ----- drivers: serial vs parallel ----------------------------------- *)
 

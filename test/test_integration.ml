@@ -123,28 +123,102 @@ let test_sim_agrees_with_idd4 () =
        (sim_power *. 1e3) (idd4r_power *. 1e3))
     (sim_power > idd4r_power *. 0.7 && sim_power < idd4r_power *. 1.3)
 
-let test_cli_bad_datarate () =
-  (* The one-shot CLI, run as a process: an unparseable data rate must
-     exit 2 with a diagnostic, and print no device. *)
+(* The one-shot CLI, run as a process: exit status, stdout, stderr. *)
+let run_cli args =
   let exe = "../bin/vdram.exe" in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let pid =
-    Unix.create_process exe
-      [| exe; "power"; "--node"; "55nm"; "--datarate"; "garbage" |]
-      Unix.stdin out_w err_w
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_w
+      err_w
   in
   Unix.close out_w;
   Unix.close err_w;
   let read fd = In_channel.input_all (Unix.in_channel_of_descr fd) in
   let stdout = read out_r in
   let stderr = read err_r in
-  let status = snd (Unix.waitpid [] pid) in
-  Helpers.check_true "exit 2" (status = Unix.WEXITED 2);
-  Alcotest.(check string) "nothing on stdout" "" stdout;
-  Helpers.check_true
-    (Printf.sprintf "stderr names the value: %S" stderr)
-    (String.trim stderr = "vdram: bad datarate \"garbage\"")
+  (snd (Unix.waitpid [] pid), stdout, stderr)
+
+(* A bad value exits 2 with one diagnostic naming it, and prints no
+   device. *)
+let check_usage_error args message =
+  let status, stdout, stderr = run_cli args in
+  let what = String.concat " " args in
+  Helpers.check_true (what ^ ": exit 2") (status = Unix.WEXITED 2);
+  Alcotest.(check string) (what ^ ": nothing on stdout") "" stdout;
+  Alcotest.(check string) (what ^ ": stderr") ("vdram: " ^ message)
+    (String.trim stderr)
+
+let test_cli_bad_datarate () =
+  check_usage_error
+    [ "power"; "--node"; "55nm"; "--datarate"; "garbage" ]
+    "bad datarate \"garbage\""
+
+let test_cli_bad_knobs () =
+  (* Out-of-range knobs are rejected by the shared resolution instead
+     of escaping as exceptions from the device constructors. *)
+  List.iter
+    (fun (args, message) -> check_usage_error ("power" :: args) message)
+    [
+      ([ "--io-width"; "0" ], "bad I/O width 0 (must be at least 1)");
+      ([ "--io-width=-4" ], "bad I/O width -4 (must be at least 1)");
+      ( [ "--density-mbits"; "0" ],
+        "bad density 0 Mbit (must be finite and positive)" );
+      ( [ "--density-mbits=-5" ],
+        "bad density -5 Mbit (must be finite and positive)" );
+      ( [ "--density-mbits"; "nan" ],
+        "bad density nan Mbit (must be finite and positive)" );
+      ( [ "--density-mbits"; "0.5" ],
+        "bad device: Array_geometry.derive: bank not a whole number of \
+         sub-array rows" );
+      ([ "--datarate"; "0Gbps" ], "bad datarate \"0Gbps\"");
+      ([ "--node"; "nan" ], "bad node \"nan\"");
+      ([ "--pattern"; "act bogus" ], "unknown command \"bogus\" in pattern");
+    ];
+  (* A description file's error names the file. *)
+  check_usage_error
+    [ "power"; "fixtures/fixable.dram" ]
+    "fixtures/fixable.dram: line 11: unknown technology parameter \
+     \"cbitlinez\" [V0201]"
+
+(* Served = one-shot: for the same description, knobs and explicit
+   pattern, the daemon's [text] is the CLI's stdout, byte for byte. *)
+let test_served_equals_cli () =
+  let module Json = Vdram_json.Json in
+  let loop = "act nop nop rd rd pre" in
+  let node = ("config", Json.Obj [ ("node", Json.Str "55nm") ]) in
+  let source =
+    In_channel.with_open_text "../examples/ddr3_1gb.dram" In_channel.input_all
+  in
+  let cases =
+    [
+      ( [ "power"; "--node"; "55nm"; "--pattern"; loop ],
+        [ ("op", Json.Str "eval"); node; ("pattern", Json.Str loop) ] );
+      ( [ "sensitivity"; "--jobs"; "1"; "--node"; "55nm"; "--pattern"; loop ],
+        [ ("op", Json.Str "sensitivity"); node; ("pattern", Json.Str loop) ] );
+      ( [ "corners"; "--jobs"; "1"; "--samples"; "40"; "--node"; "55nm";
+          "--pattern"; loop ],
+        [ ("op", Json.Str "corners"); node; ("samples", Json.Num 40.0);
+          ("pattern", Json.Str loop) ] );
+      ( [ "power"; "../examples/ddr3_1gb.dram" ],
+        [ ("op", Json.Str "eval");
+          ("config", Json.Obj [ ("source", Json.Str source) ]) ] );
+    ]
+  in
+  Test_serve.with_server (fun _server path ->
+      let fd = Test_serve.connect path in
+      List.iter
+        (fun (args, request) ->
+          let what = String.concat " " args in
+          let status, stdout, stderr = run_cli args in
+          if status <> Unix.WEXITED 0 then
+            Alcotest.failf "%s failed: %s" what stderr;
+          Test_serve.send_line fd (Json.to_string (Json.Obj request));
+          let frame = Test_serve.one (Test_serve.recv_frames fd 1) in
+          Alcotest.(check string) (what ^ ": served = one-shot") stdout
+            (Test_serve.jstr frame "text"))
+        cases;
+      Unix.close fd)
 
 let suite =
   [
@@ -160,4 +234,8 @@ let suite =
       test_sim_agrees_with_idd4;
     Alcotest.test_case "cli: unparseable --datarate exits 2" `Quick
       test_cli_bad_datarate;
+    Alcotest.test_case "cli: out-of-range knobs exit 2" `Quick
+      test_cli_bad_knobs;
+    Alcotest.test_case "cli: served text equals one-shot stdout" `Quick
+      test_served_equals_cli;
   ]

@@ -526,168 +526,17 @@ let test_examples_bank_legal () =
 
 (* ----- SARIF ------------------------------------------------------- *)
 
-(* A tiny JSON reader — just enough to check the SARIF output is
-   well-formed and structurally a 2.1.0 log.  No external deps. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+(* The SARIF log is read back with the program's own JSON parser. *)
+module Json = Vdram_json.Json
 
-exception Bad_json of string
+let get what = function
+  | Some v -> v
+  | None -> Alcotest.failf "SARIF: expected %s" what
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    String.iter (fun c -> expect c) lit;
-    v
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some 'u' ->
-           advance ();
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           Buffer.add_string b (Printf.sprintf "\\u%s" hex);
-           go ()
-         | Some c ->
-           advance ();
-           Buffer.add_char b
-             (match c with
-              | 'n' -> '\n'
-              | 't' -> '\t'
-              | 'r' -> '\r'
-              | 'b' -> '\b'
-              | 'f' -> '\012'
-              | c -> c);
-           go ()
-         | None -> fail "bad escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let numchar = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> numchar c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
-    | None -> fail "unexpected end"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function
-  | Obj fields ->
-    (match List.assoc_opt k fields with
-     | Some v -> v
-     | None -> raise (Bad_json ("missing member " ^ k)))
-  | _ -> raise (Bad_json ("not an object looking up " ^ k))
-
-let as_str = function
-  | Str s -> s
-  | _ -> raise (Bad_json "expected string")
-
-let as_arr = function
-  | Arr l -> l
-  | _ -> raise (Bad_json "expected array")
-
-let as_num = function
-  | Num f -> f
-  | _ -> raise (Bad_json "expected number")
+let member k j = Helpers.at [ k ] j
+let as_str j = get "a string" (Json.str j)
+let as_arr j = get "an array" (Json.list_ j)
+let as_num j = get "a number" (Json.num j)
 
 let test_sarif_structure () =
   (* The SARIF log must be well-formed JSON and satisfy the 2.1.0
@@ -700,7 +549,9 @@ let test_sarif_structure () =
     Lint.run ~file:"b.dram" (fp_base "Command wires=4 start=1_2 end=1_2")
   in
   let log = Lint.to_sarif [ r1; r2 ] in
-  let j = parse_json log in
+  let j =
+    match Json.parse log with Ok j -> j | Error e -> Alcotest.fail e
+  in
   Alcotest.(check string) "version" "2.1.0" (as_str (member "version" j));
   Helpers.check_true "schema URI names 2.1.0"
     (contains (as_str (member "$schema" j)) "sarif-schema-2.1.0");
@@ -752,12 +603,7 @@ let test_sarif_structure () =
        results;
      (* Fix-carrying diagnostics surface as SARIF fixes. *)
      let with_fixes =
-       List.filter
-         (fun res ->
-           match res with
-           | Obj fields -> List.mem_assoc "fixes" fields
-           | _ -> false)
-         results
+       List.filter (fun res -> Json.mem "fixes" res <> None) results
      in
      Helpers.check_true "at least one result carries fixes"
        (with_fixes <> [])
@@ -806,11 +652,9 @@ let test_fix_multiline_render () =
   let d =
     D.warningf ~code:"V0902" ~span:(span 1 1 6) ~fixes:[ fx ] "collapse"
   in
-  let buf = Buffer.create 64 in
-  D.to_json buf d;
-  let j = Buffer.contents buf in
-  Helpers.check_true "fix JSON carries end_line"
-    (contains j "\"end_line\":2");
+  let fix = List.hd (as_arr (member "fixes" (D.json d))) in
+  Alcotest.(check (float 0.0)) "fix JSON carries end_line" 2.0
+    (as_num (member "end_line" fix));
   let report =
     {
       Lint.file = Some "f.dram";

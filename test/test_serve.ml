@@ -6,7 +6,7 @@
    perturb the suite.  All sockets are Unix-domain paths under the
    system temp directory. *)
 
-module Json = Vdram_serve.Json
+module Json = Vdram_json.Json
 module Protocol = Vdram_serve.Protocol
 module Render = Vdram_serve.Render
 module Coalesce = Vdram_serve.Coalesce
@@ -699,6 +699,39 @@ let server_bad_datarate () =
       check_true "no text" (Json.mem "text" e = None);
       Unix.close fd)
 
+let server_bad_knobs () =
+  (* Out-of-range knobs and patterns are rejected by resolution as bad
+     requests, never escape the device constructors as driver
+     failures. *)
+  with_server (fun _server path ->
+      let fd = connect path in
+      List.iter
+        (fun (fields, message) ->
+          send_line fd (Printf.sprintf {|{"op":"eval",%s}|} fields);
+          let e = one (recv_frames fd 1) in
+          Alcotest.(check string) (fields ^ ": error status") "error"
+            (jstr e "status");
+          Alcotest.(check string) (fields ^ ": bad request class")
+            "bad_request" (jstr e "class");
+          Alcotest.(check string) (fields ^ ": message") message
+            (jstr e "message"))
+        [
+          ( {|"config":{"io_width":0}|},
+            "bad I/O width 0 (must be at least 1)" );
+          ( {|"config":{"io_width":-4}|},
+            "bad I/O width -4 (must be at least 1)" );
+          ( {|"config":{"density_mbits":0}|},
+            "bad density 0 Mbit (must be finite and positive)" );
+          ( {|"config":{"density_mbits":-5}|},
+            "bad density -5 Mbit (must be finite and positive)" );
+          ( {|"config":{"io_width":100000}|},
+            "bad device: Bus.v: wires must be positive" );
+          ({|"config":{"datarate":"0Gbps"}|}, "bad datarate \"0Gbps\"");
+          ({|"config":{"node":"nan"}|}, "bad node \"nan\"");
+          ({|"pattern":"act bogus"|}, "unknown command \"bogus\" in pattern");
+        ];
+      Unix.close fd)
+
 let suite =
   [
     Alcotest.test_case "json round-trip and escapes" `Quick json_roundtrip;
@@ -729,4 +762,6 @@ let suite =
       server_drain_aborts;
     Alcotest.test_case "server: bad datarate is an error frame" `Quick
       server_bad_datarate;
+    Alcotest.test_case "server: out-of-range knobs are error frames" `Quick
+      server_bad_knobs;
   ]

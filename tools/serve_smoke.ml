@@ -13,7 +13,7 @@
    failures; SIGTERM drains to exit 0 and unlinks the socket.  Exits 1
    on the first violated assertion. *)
 
-module Json = Vdram_serve.Json
+module Json = Vdram_json.Json
 module Faults = Vdram_engine.Faults
 
 let daemon_pid = ref None
