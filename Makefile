@@ -49,22 +49,31 @@ perfbench-check:
 
 # Supervised runtime under deterministic fault injection: must exit 3
 # (partial results) and write a version-1 failure report holding at
-# least one mix-stage failure, every one of them injected.
+# least one mix-stage failure, every one of them injected.  The same
+# supervised run without faults must exit 0 and record no failure.
 CHAOS_CHECK = import json, sys; r = json.load(open(sys.argv[1])); fs = r["failures"]; \
+  print(sys.argv[1] + ": %d injected mix failure(s)" % sum(f["stage"] == "mix" for f in fs)); \
   sys.exit(0 if r["version"] == 1 and any(f["stage"] == "mix" for f in fs) \
   and all(f["injected"] is True for f in fs) else 1)
+
+CHAOS_RUN = dune exec bin/vdram.exe -- corners --node 55nm --samples 400 \
+  --jobs 2 --keep-going
 
 chaos: build
 	@for seed in 7 11 42; do \
 	  code=0; \
 	  VDRAM_FAULTS="seed=$$seed,rate=0.02,raise=mix" \
-	    dune exec bin/vdram.exe -- corners --node 55nm --samples 400 \
-	      --jobs 2 --keep-going --fail-log chaos_$$seed.json || code=$$?; \
+	    $(CHAOS_RUN) --fail-log chaos_$$seed.json || code=$$?; \
 	  [ "$$code" -eq 3 ] || { echo "seed $$seed: expected exit 3, got $$code"; exit 1; }; \
 	  python3 -c '$(CHAOS_CHECK)' chaos_$$seed.json \
 	    || { echo "seed $$seed: no injected mix failures, or a non-injected one leaked"; exit 1; }; \
 	  echo "chaos seed $$seed: ok"; \
 	done
+	@code=0; env -u VDRAM_FAULTS $(CHAOS_RUN) --fail-log chaos_clean.json || code=$$?; \
+	[ "$$code" -eq 0 ] || { echo "clean run: expected exit 0, got $$code"; exit 1; }; \
+	python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["failures"] == [] else 1)' chaos_clean.json \
+	  || { echo "clean run: failures recorded"; exit 1; }; \
+	echo "chaos clean run: ok"
 
 # Serve daemon end-to-end: boot the real binary under fault
 # injection, drive concurrent mixed traffic (coalescing and

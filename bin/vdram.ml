@@ -1118,6 +1118,8 @@ let corners_cmd =
       & info [ "spread" ] ~doc:"Half-width of the parameter band (0.10 = +-10%).")
   in
   let run file spec samples spread pattern mk_engine timings sup_flags =
+    Result.iter_error (usage_error "%s")
+      (Vdram_analysis.Corners.validate ~samples ~spread);
     let config, p = device_pattern ?file spec pattern in
     match build_supervision sup_flags with
     | Error e -> fail "%s" e

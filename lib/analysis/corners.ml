@@ -32,12 +32,25 @@ let next_float r = float_of_int (next r mod 1_000_000) /. 1_000_000.0
    the logic aggregates.  The external supply is a specification, not
    a corner. *)
 let corner_lenses =
-  List.filter
-    (fun l -> l.Lenses.name <> "external voltage Vdd")
-    (Lenses.technology @ Lenses.voltages @ Lenses.logic)
+  Array.of_list
+    (List.filter
+       (fun l -> l.Lenses.name <> "external voltage Vdd")
+       (Lenses.technology @ Lenses.voltages @ Lenses.logic))
+
+let validate ~samples ~spread =
+  if samples < 1 then
+    Error (Printf.sprintf "bad samples %d (must be at least 1)" samples)
+  else if not (Float.is_finite spread && spread >= 0.0 && spread < 1.0) then
+    Error
+      (Printf.sprintf "bad spread %g (must be finite, at least 0 and below 1)"
+         spread)
+  else Ok ()
 
 let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
     ?pattern cfg =
+  (match validate ~samples ~spread with
+   | Ok () -> ()
+   | Error e -> invalid_arg ("Corners.run: " ^ e));
   let engine =
     match engine with Some e -> e | None -> Engine.serial ()
   in
@@ -46,25 +59,28 @@ let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
     | Some p -> p
     | None -> Pattern.idd4r cfg.Config.spec
   in
-  let rng = { state = Int64.of_int (max 1 seed) } in
-  let sample () =
-    List.fold_left
-      (fun acc lens ->
-        let f = 1.0 +. (spread *. ((2.0 *. next_float rng) -. 1.0)) in
-        (* Efficiencies must stay within (0, 1]. *)
-        let f =
-          if
-            String.length lens.Lenses.name >= 10
-            && String.sub lens.Lenses.name 0 10 = "generator "
-          then Float.min f (1.0 /. Float.max 1e-9 (lens.Lenses.get acc))
-          else f
-        in
-        Lenses.scale lens f acc)
-      cfg corner_lenses
+  (* Efficiencies must stay within (0, 1], so their factor is capped
+     at 1 / nominal (the other lenses are uncapped).  Reading the
+     nominal off the seed configuration is exact: no other lens
+     writes an efficiency. *)
+  let caps =
+    Array.map
+      (fun l ->
+        if String.starts_with ~prefix:"generator " l.Lenses.name then
+          1.0 /. Float.max 1e-9 (l.Lenses.get cfg)
+        else Float.infinity)
+      corner_lenses
   in
-  (* Draw every perturbed configuration first (the LCG is sequential
-     state), then fan the pure evaluations out on the pool. *)
-  let configs = List.init samples (fun _ -> sample ()) in
+  let rng = { state = Int64.of_int (max 1 seed) } in
+  let draw () =
+    Array.map
+      (fun cap ->
+        Float.min (1.0 +. (spread *. ((2.0 *. next_float rng) -. 1.0))) cap)
+      caps
+  in
+  (* Draw every factor vector first (the LCG is sequential state),
+     then build and evaluate each configuration on the pool. *)
+  let draws = List.init samples (fun _ -> draw ()) in
   let check i =
     if Float.is_finite i then None else Some "non-finite current"
   in
@@ -73,8 +89,11 @@ let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
      terms when only efficiencies moved) still splice from the seed. *)
   let outcomes =
     Supervise.map_jobs ?supervisor engine ~check
-      (fun c -> Engine.current ~base:cfg engine c pattern)
-      configs
+      (fun factors ->
+        Engine.current ~base:cfg engine
+          (Lenses.scale_all corner_lenses factors cfg)
+          pattern)
+      draws
   in
   (* Under supervision a failed draw is excluded from the statistics
      and counted; with no supervisor every outcome is Done. *)

@@ -22,6 +22,11 @@ type distribution = {
   p95 : float;
 }
 
+val validate : samples:int -> spread:float -> (unit, string) result
+(** The knobs {!run} accepts: at least one sample and a finite spread
+    in \[0, 1) (a wider band would draw non-positive factors).  The
+    message is what the CLI and serve report. *)
+
 val run :
   ?engine:Vdram_engine.Engine.t ->
   ?supervisor:Vdram_engine.Supervise.t ->
@@ -34,11 +39,13 @@ val run :
 (** Idd distribution of a pattern under parameter spread.  Defaults:
     200 samples, ±10 % uniform spread, seed 1, the device's Idd4R
     loop (the figure-8/9 measurement with the widest vendor spread).
-    Perturbed configurations are drawn sequentially (the generator is
-    deterministic), then evaluated as one batch on [engine]'s pool —
-    the distribution is identical at any job count.  With [supervisor]
-    a failed or non-finite draw is excluded from the statistics and
-    counted in [failed]; fails only if {e every} draw fails. *)
+    Each draw's scale factors are drawn sequentially (the generator is
+    deterministic); the perturbed configurations are built from them
+    with {!Lenses.scale_all} and evaluated as one batch on [engine]'s
+    pool — the distribution is identical at any job count.  With
+    [supervisor] a failed or non-finite draw is excluded from the
+    statistics and counted in [failed]; fails only if {e every} draw
+    fails.  Raises [Invalid_argument] on knobs {!validate} rejects. *)
 
 val covers : distribution -> float -> bool
 (** Whether a current (e.g. a vendor datasheet value) lies within the

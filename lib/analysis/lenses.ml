@@ -24,6 +24,14 @@ let default_range = function
   | Logic -> (0.8, 1.25)
   | Interface -> (0.8, 1.2)
 
+(* Where a lens writes, so [scale_all] can gather every write to one
+   record and build it once. *)
+type target =
+  | Tech of int  (* index in Params.fields *)
+  | Domain of int  (* index in [domain_values] *)
+  | Logic of (float -> Logic_block.t -> Logic_block.t)
+  | Other  (* applied with [scale] *)
+
 type t = {
   name : string;
   group : group;
@@ -31,6 +39,7 @@ type t = {
   dirties : C.group list;
   get : Config.t -> float;
   set : Config.t -> float -> Config.t;
+  target : target;
 }
 
 let scale lens f cfg = lens.set cfg (lens.get cfg *. f)
@@ -86,8 +95,8 @@ let technology_dirties =
   ]
 
 let technology =
-  List.map
-    (fun (name, get, set) ->
+  List.mapi
+    (fun i (name, get, set) ->
       {
         name;
         group = Technology;
@@ -98,6 +107,7 @@ let technology =
           | None -> C.groups (* unknown field: assume it reaches all *));
         get = (fun cfg -> get cfg.Config.tech);
         set = (fun cfg v -> Config.with_tech cfg (set cfg.Config.tech v));
+        target = Tech i;
       })
     Params.fields
 
@@ -109,36 +119,52 @@ let with_domains f cfg v =
    efficiencies only rescale the extraction's supply-energy terms
    (delta recomputes those without re-extracting) and the current
    adder is a mix-stage input read straight off the configuration. *)
-let voltage_lens name dirties get set =
-  { name; group = Voltage; range = default_range Voltage; dirties; get; set }
+let voltage_lens name dirties get set i =
+  {
+    name;
+    group = Voltage;
+    range = default_range Voltage;
+    dirties;
+    get;
+    set;
+    target = Domain i;
+  }
 
 let voltages =
   [
     voltage_lens "external voltage Vdd" [ C.Interface ]
       (fun c -> c.Config.domains.Domains.vdd)
-      (with_domains (fun d v -> { d with Domains.vdd = v }));
+      (with_domains (fun d v -> { d with Domains.vdd = v }))
+      0;
     voltage_lens "internal voltage Vint"
       [ C.Wordline; C.Sense_amp; C.Column; C.Bus; C.Logic ]
       (fun c -> c.Config.domains.Domains.vint)
-      (with_domains (fun d v -> { d with Domains.vint = v }));
+      (with_domains (fun d v -> { d with Domains.vint = v }))
+      1;
     voltage_lens "bitline voltage" [ C.Sense_amp; C.Column ]
       (fun c -> c.Config.domains.Domains.vbl)
-      (with_domains (fun d v -> { d with Domains.vbl = v }));
+      (with_domains (fun d v -> { d with Domains.vbl = v }))
+      2;
     voltage_lens "wordline voltage Vpp" [ C.Wordline; C.Sense_amp ]
       (fun c -> c.Config.domains.Domains.vpp)
-      (with_domains (fun d v -> { d with Domains.vpp = v }));
+      (with_domains (fun d v -> { d with Domains.vpp = v }))
+      3;
     voltage_lens "generator efficiency Vint" []
       (fun c -> c.Config.domains.Domains.eff_int)
-      (with_domains (fun d v -> { d with Domains.eff_int = v }));
+      (with_domains (fun d v -> { d with Domains.eff_int = v }))
+      4;
     voltage_lens "generator efficiency bitline voltage" []
       (fun c -> c.Config.domains.Domains.eff_bl)
-      (with_domains (fun d v -> { d with Domains.eff_bl = v }));
+      (with_domains (fun d v -> { d with Domains.eff_bl = v }))
+      5;
     voltage_lens "generator efficiency wordline voltage" []
       (fun c -> c.Config.domains.Domains.eff_pp)
-      (with_domains (fun d v -> { d with Domains.eff_pp = v }));
+      (with_domains (fun d v -> { d with Domains.eff_pp = v }))
+      6;
     voltage_lens "constant current adder" []
       (fun c -> c.Config.domains.Domains.i_constant)
-      (with_domains (fun d v -> { d with Domains.i_constant = v }));
+      (with_domains (fun d v -> { d with Domains.i_constant = v }))
+      7;
   ]
 
 (* Aggregate logic lenses scale every block; get returns the scale
@@ -151,6 +177,7 @@ let logic_aggregate name update =
     dirties = [ C.Logic ];
     get = (fun _ -> 1.0);
     set = (fun cfg f -> Config.map_logic cfg (update f));
+    target = Logic update;
   }
 
 let logic =
@@ -187,6 +214,7 @@ let interface_lens name dirties get set =
     dirties;
     get;
     set;
+    target = Other;
   }
 
 let interface =
@@ -211,3 +239,68 @@ let interface =
 let all = voltages @ technology @ logic @ interface
 
 let find name = List.find_opt (fun l -> l.name = name) all
+
+(* The voltage fields in [Domain] index order. *)
+let domain_values (d : Domains.t) =
+  [|
+    d.Domains.vdd; d.vint; d.vbl; d.vpp; d.eff_int; d.eff_bl; d.eff_pp;
+    d.i_constant;
+  |]
+
+let domains_of_values a =
+  {
+    Domains.vdd = a.(0);
+    vint = a.(1);
+    vbl = a.(2);
+    vpp = a.(3);
+    eff_int = a.(4);
+    eff_bl = a.(5);
+    eff_pp = a.(6);
+    i_constant = a.(7);
+  }
+
+let tech_getters =
+  Array.of_list (List.map (fun (_, get, _) -> get) Params.fields)
+
+(* Equal to the left fold of [scale] because the lenses write pairwise
+   disjoint fields and a field written twice is multiplied in pair
+   order: the technology and voltage values are gathered into arrays,
+   the logic updates are applied block by block, and each record is
+   built once. *)
+let scale_all lenses factors cfg =
+  if Array.length factors <> Array.length lenses then
+    invalid_arg "Lenses.scale_all: need one factor per lens";
+  let tech = ref [||] and domains = ref [||] and logic = ref [] in
+  let rest = ref cfg in
+  Array.iteri
+    (fun i lens ->
+      let f = factors.(i) in
+      match lens.target with
+      | Tech k ->
+        if Array.length !tech = 0 then
+          tech := Array.map (fun get -> get cfg.Config.tech) tech_getters;
+        !tech.(k) <- !tech.(k) *. f
+      | Domain k ->
+        if Array.length !domains = 0 then
+          domains := domain_values cfg.Config.domains;
+        !domains.(k) <- !domains.(k) *. f
+      | Logic update -> logic := update f :: !logic
+      | Other -> rest := scale lens f !rest)
+    lenses;
+  let cfg = !rest in
+  {
+    cfg with
+    Config.tech =
+      (if Array.length !tech = 0 then cfg.Config.tech
+       else Params.of_array cfg.Config.tech !tech);
+    domains =
+      (if Array.length !domains = 0 then cfg.Config.domains
+       else domains_of_values !domains);
+    logic =
+      (match List.rev !logic with
+       | [] -> cfg.Config.logic
+       | updates ->
+         List.map
+           (fun b -> List.fold_left (fun b u -> u b) b updates)
+           cfg.Config.logic);
+  }

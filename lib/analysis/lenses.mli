@@ -17,6 +17,10 @@ val default_range : group -> float * float
     (0.9, 1.1) for voltages, (0.85, 1.15) for technology, (0.8, 1.25)
     for logic aggregates, (0.8, 1.2) for interface loads. *)
 
+type target
+(** Which record of the configuration a lens writes; lets {!scale_all}
+    build each record once. *)
+
 type t = {
   name : string;
   group : group;
@@ -30,10 +34,20 @@ type t = {
           extraction. *)
   get : Vdram_core.Config.t -> float;
   set : Vdram_core.Config.t -> float -> Vdram_core.Config.t;
+  target : target;
 }
 
 val scale : t -> float -> Vdram_core.Config.t -> Vdram_core.Config.t
 (** [scale lens f cfg] multiplies the lens value by [f]. *)
+
+val scale_all :
+  t array -> float array -> Vdram_core.Config.t -> Vdram_core.Config.t
+(** [scale_all lenses factors cfg] scales [lenses.(i)] by
+    [factors.(i)] for every [i]: bit for bit the left fold of {!scale}
+    over the pairs in array order, but building one technology
+    record, one voltage-domain record, one list of logic blocks and
+    one configuration instead of a copy per lens.  Raises
+    [Invalid_argument] unless the arrays have equal length. *)
 
 val technology : t list
 (** The 38 float technology parameters. *)

@@ -117,17 +117,12 @@ let decode j =
             variation = field j "variation" Json.num;
           }
       | "corners" ->
-        Corners
-          {
-            spec = spec_of j;
-            pattern = pattern_of j;
-            samples =
-              (match Option.value (field j "samples" Json.int_) ~default:200 with
-               | n when n < 1 -> badf "field \"samples\" must be >= 1"
-               | n when n > 1_000_000 -> badf "field \"samples\" too large"
-               | n -> n);
-            spread = Option.value (field j "spread" Json.num) ~default:0.10;
-          }
+        let samples = Option.value (field j "samples" Json.int_) ~default:200 in
+        let spread = Option.value (field j "spread" Json.num) ~default:0.10 in
+        Result.iter_error (badf "%s")
+          (Vdram_analysis.Corners.validate ~samples ~spread);
+        if samples > 1_000_000 then badf "field \"samples\" too large";
+        Corners { spec = spec_of j; pattern = pattern_of j; samples; spread }
       | "sweep" ->
         Sweep
           {

@@ -171,6 +171,55 @@ let fields =
      fun t v -> { t with c_wire_signal = v });
   ]
 
+let n_fields = List.length fields
+
+(* Field for field by hand: one record per call instead of one copy
+   per setter. *)
+let of_array t a =
+  if Array.length a <> n_fields then
+    invalid_arg "Params.of_array: need one value per field";
+  {
+    tox_logic = a.(0);
+    tox_hv = a.(1);
+    tox_cell = a.(2);
+    lmin_logic = a.(3);
+    cj_logic = a.(4);
+    lmin_hv = a.(5);
+    cj_hv = a.(6);
+    l_cell = a.(7);
+    w_cell = a.(8);
+    c_bitline = a.(9);
+    c_cell = a.(10);
+    bl_wl_coupling = a.(11);
+    c_wire_mwl = a.(12);
+    mwl_predecode = a.(13);
+    w_mwl_dec_n = a.(14);
+    w_mwl_dec_p = a.(15);
+    mwl_dec_activity = a.(16);
+    w_wlctl_load_n = a.(17);
+    w_wlctl_load_p = a.(18);
+    w_lwd_n = a.(19);
+    w_lwd_p = a.(20);
+    w_lwd_restore = a.(21);
+    c_wire_lwl = a.(22);
+    w_sa_n = a.(23);
+    l_sa_n = a.(24);
+    w_sa_p = a.(25);
+    l_sa_p = a.(26);
+    w_sa_eq = a.(27);
+    l_sa_eq = a.(28);
+    w_sa_bitswitch = a.(29);
+    l_sa_bitswitch = a.(30);
+    w_sa_mux = a.(31);
+    l_sa_mux = a.(32);
+    w_sa_nset = a.(33);
+    l_sa_nset = a.(34);
+    w_sa_pset = a.(35);
+    l_sa_pset = a.(36);
+    c_wire_signal = a.(37);
+    bits_per_csl = t.bits_per_csl;
+  }
+
 let pp ppf t =
   let q dim v = Vdram_units.Quantity.to_string dim v in
   let open Vdram_units.Quantity in

@@ -72,5 +72,12 @@ val fields : (string * (t -> float) * (t -> float -> t)) list
     sensitivity analysis to perturb parameters generically.
     [bits_per_csl] is exposed read-only elsewhere (it is structural). *)
 
+val of_array : t -> float array -> t
+(** [of_array t values] is [t] with its float fields set to [values],
+    given in {!fields} order — the record the setters of {!fields}
+    would build one by one, built at once.  [bits_per_csl] comes from
+    [t].  Raises [Invalid_argument] unless there is one value per
+    field. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line listing of all parameters with engineering units. *)

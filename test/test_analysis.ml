@@ -236,6 +236,176 @@ let test_corners_explain_vendor_spread () =
        spread_ratio vendor_ratio)
     (spread_ratio > 0.7 *. vendor_ratio)
 
+(* Records compared by their marshalled bytes, which hold every float
+   field as its IEEE bits (and every other field as is). *)
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let same_config (a : Config.t) (b : Config.t) = String.equal (bits a) (bits b)
+
+let scale_all_is_fold =
+  let lenses = Array.of_list Lenses.all in
+  let n = Array.length lenses in
+  (* Random picks of lenses in random order; a lens picked twice must
+     be scaled twice, in pick order. *)
+  QCheck.Test.make ~name:"Lenses.scale_all is the fold of scale" ~count:200
+    QCheck.(
+      list_of_size Gen.(0 -- (2 * n))
+        (pair (int_bound (n - 1)) (float_range 0.5 1.5)))
+    (fun picks ->
+      let chosen = Array.of_list (List.map (fun (i, _) -> lenses.(i)) picks) in
+      let factors = Array.of_list (List.map snd picks) in
+      let cfg = Lazy.force Helpers.ddr3_1g in
+      let fold =
+        List.fold_left
+          (fun acc (i, f) -> Lenses.scale lenses.(i) f acc)
+          cfg picks
+      in
+      same_config (Lenses.scale_all chosen factors cfg) fold)
+
+let test_params_of_array () =
+  let module P = Vdram_tech.Params in
+  let t = P.reference in
+  let values = Array.of_list (List.map (fun (_, get, _) -> get t) P.fields) in
+  Helpers.check_true "the unchanged values rebuild the record"
+    (bits (P.of_array t values) = bits t);
+  List.iteri
+    (fun i (name, _, set) ->
+      let v = values.(i) *. 1.5 in
+      let a = Array.copy values in
+      a.(i) <- v;
+      Helpers.check_true (name ^ ": index matches its setter")
+        (bits (P.of_array t a) = bits (set t v)))
+    P.fields;
+  Alcotest.check_raises "one value per field"
+    (Invalid_argument "Params.of_array: need one value per field") (fun () ->
+      ignore (P.of_array t [| 1.0 |]))
+
+(* The lenses write pairwise disjoint fields, so any two commute.
+   Abox.field's soundness and the corner sampler's efficiency cap both
+   rest on this. *)
+let test_lenses_commute () =
+  let cfg = Lazy.force Helpers.ddr3_1g in
+  List.iter
+    (fun a ->
+      let after_a = Lenses.scale a 1.25 cfg in
+      List.iter
+        (fun b ->
+          if a != b then
+            Helpers.check_true
+              (Printf.sprintf "%s / %s commute" a.Lenses.name b.Lenses.name)
+              (same_config
+                 (Lenses.scale b 0.8 after_a)
+                 (Lenses.scale a 1.25 (Lenses.scale b 0.8 cfg))))
+        Lenses.all)
+    Lenses.all
+
+(* The corner sampler as it was before draws became factor vectors:
+   one fold of [Lenses.scale] per draw, each configuration evaluated
+   by the monolithic model, the same summary.  Kept as the reference
+   [Corners.run] must reproduce bit for bit. *)
+let reference_corners ~samples ~spread ~seed ~pattern cfg =
+  let state = ref (Int64.of_int (max 1 seed)) in
+  let next_float () =
+    state :=
+      Int64.add (Int64.mul !state 6364136223846793005L) 1442695040888963407L;
+    let r = Int64.to_int (Int64.shift_right_logical !state 17) in
+    float_of_int (r mod 1_000_000) /. 1_000_000.0
+  in
+  let lenses =
+    List.filter
+      (fun l -> l.Lenses.name <> "external voltage Vdd")
+      (Lenses.technology @ Lenses.voltages @ Lenses.logic)
+  in
+  let sample () =
+    List.fold_left
+      (fun acc lens ->
+        let f = 1.0 +. (spread *. ((2.0 *. next_float ()) -. 1.0)) in
+        let f =
+          if
+            String.length lens.Lenses.name >= 10
+            && String.sub lens.Lenses.name 0 10 = "generator "
+          then Float.min f (1.0 /. Float.max 1e-9 (lens.Lenses.get acc))
+          else f
+        in
+        Lenses.scale lens f acc)
+      cfg lenses
+  in
+  let configs = List.init samples (fun _ -> sample ()) in
+  let values =
+    List.map
+      (fun c -> (Vdram_core.Model.pattern_power c pattern).Vdram_core.Report.current)
+      configs
+  in
+  let sorted = List.sort Float.compare values in
+  let n = float_of_int samples in
+  let mean = List.fold_left ( +. ) 0.0 values /. n in
+  let var =
+    List.fold_left (fun a v -> a +. ((v -. mean) ** 2.0)) 0.0 values /. n
+  in
+  let nth q =
+    List.nth sorted
+      (min (samples - 1) (int_of_float (q *. float_of_int (samples - 1))))
+  in
+  {
+    Corners.samples;
+    failed = 0;
+    spread;
+    mean;
+    std = sqrt var;
+    min = List.hd sorted;
+    max = List.nth sorted (samples - 1);
+    p05 = nth 0.05;
+    p95 = nth 0.95;
+  }
+
+let check_distribution what (expected : Corners.distribution)
+    (actual : Corners.distribution) =
+  Alcotest.(check int) (what ^ ": samples") expected.samples actual.samples;
+  Alcotest.(check int) (what ^ ": failed") expected.failed actual.failed;
+  List.iter
+    (fun (field, e, a) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s: %s bits" what field)
+        (Int64.bits_of_float e) (Int64.bits_of_float a))
+    [
+      ("spread", expected.spread, actual.spread);
+      ("mean", expected.mean, actual.mean);
+      ("std", expected.std, actual.std);
+      ("min", expected.min, actual.min);
+      ("max", expected.max, actual.max);
+      ("p05", expected.p05, actual.p05);
+      ("p95", expected.p95, actual.p95);
+    ]
+
+let test_corners_pinned () =
+  let cfg = Lazy.force Helpers.ddr3_2g in
+  let pattern = Vdram_core.Pattern.idd4r cfg.Config.spec in
+  let samples = 150 and spread = 0.10 in
+  List.iter
+    (fun seed ->
+      let expected = reference_corners ~samples ~spread ~seed ~pattern cfg in
+      List.iter
+        (fun jobs ->
+          let engine = Vdram_engine.Engine.create ~jobs () in
+          let run ?supervisor () =
+            Corners.run ~engine ?supervisor ~samples ~spread ~seed ~pattern cfg
+          in
+          let what = Printf.sprintf "seed %d, jobs %d" seed jobs in
+          check_distribution what expected (run ());
+          let supervisor =
+            Vdram_engine.Supervise.create ~faults:Vdram_engine.Faults.none ()
+          in
+          check_distribution (what ^ ", supervised") expected (run ~supervisor ()))
+        [ 1; 2 ])
+    [ 1; 2; 2027 ];
+  (* No spread: every draw is the nominal device. *)
+  let nominal = (Vdram_core.Model.pattern_power cfg pattern).Vdram_core.Report.current in
+  let d = Corners.run ~samples:20 ~spread:0.0 ~pattern cfg in
+  Alcotest.(check int64) "spread 0: min is nominal" (Int64.bits_of_float nominal)
+    (Int64.bits_of_float d.Corners.min);
+  Alcotest.(check int64) "spread 0: max is nominal" (Int64.bits_of_float nominal)
+    (Int64.bits_of_float d.Corners.max)
+
 let count_lines s =
   String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
 
@@ -305,10 +475,16 @@ let suite =
     Alcotest.test_case "category shares shift (Section VI)" `Slow
       test_category_shares_shift;
     Alcotest.test_case "parameter sweep" `Quick test_sweep;
+    Alcotest.test_case "Params.of_array matches the setters" `Quick
+      test_params_of_array;
+    Alcotest.test_case "lenses commute" `Quick test_lenses_commute;
     Alcotest.test_case "process corners" `Slow test_corners;
+    Alcotest.test_case "corners pinned to the fold-of-scale sampler" `Slow
+      test_corners_pinned;
     Alcotest.test_case "corners explain vendor spread" `Slow
       test_corners_explain_vendor_spread;
     Alcotest.test_case "CSV emitters" `Slow test_csv;
     Helpers.qcheck sensitivity_antisymmetric;
     Helpers.qcheck corners_always_finite;
+    Helpers.qcheck scale_all_is_fold;
   ]

@@ -175,6 +175,19 @@ let test_cli_bad_knobs () =
       ([ "--node"; "nan" ], "bad node \"nan\"");
       ([ "--pattern"; "act bogus" ], "unknown command \"bogus\" in pattern");
     ];
+  (* Corners knobs are checked before any device is built. *)
+  List.iter
+    (fun (args, message) ->
+      check_usage_error ("corners" :: "--node" :: "55nm" :: args) message)
+    [
+      ([ "--samples"; "0" ], "bad samples 0 (must be at least 1)");
+      ( [ "--spread"; "1.5" ],
+        "bad spread 1.5 (must be finite, at least 0 and below 1)" );
+      ( [ "--spread"; "nan" ],
+        "bad spread nan (must be finite, at least 0 and below 1)" );
+      ( [ "--spread=-0.1" ],
+        "bad spread -0.1 (must be finite, at least 0 and below 1)" );
+    ];
   (* A description file's error names the file. *)
   check_usage_error
     [ "power"; "fixtures/fixable.dram" ]

@@ -707,7 +707,7 @@ let server_bad_knobs () =
       let fd = connect path in
       List.iter
         (fun (fields, message) ->
-          send_line fd (Printf.sprintf {|{"op":"eval",%s}|} fields);
+          send_line fd (Printf.sprintf {|{"op":%s}|} fields);
           let e = one (recv_frames fd 1) in
           Alcotest.(check string) (fields ^ ": error status") "error"
             (jstr e "status");
@@ -716,19 +716,24 @@ let server_bad_knobs () =
           Alcotest.(check string) (fields ^ ": message") message
             (jstr e "message"))
         [
-          ( {|"config":{"io_width":0}|},
+          ( {|"eval","config":{"io_width":0}|},
             "bad I/O width 0 (must be at least 1)" );
-          ( {|"config":{"io_width":-4}|},
+          ( {|"eval","config":{"io_width":-4}|},
             "bad I/O width -4 (must be at least 1)" );
-          ( {|"config":{"density_mbits":0}|},
+          ( {|"eval","config":{"density_mbits":0}|},
             "bad density 0 Mbit (must be finite and positive)" );
-          ( {|"config":{"density_mbits":-5}|},
+          ( {|"eval","config":{"density_mbits":-5}|},
             "bad density -5 Mbit (must be finite and positive)" );
-          ( {|"config":{"io_width":100000}|},
+          ( {|"eval","config":{"io_width":100000}|},
             "bad device: Bus.v: wires must be positive" );
-          ({|"config":{"datarate":"0Gbps"}|}, "bad datarate \"0Gbps\"");
-          ({|"config":{"node":"nan"}|}, "bad node \"nan\"");
-          ({|"pattern":"act bogus"|}, "unknown command \"bogus\" in pattern");
+          ({|"eval","config":{"datarate":"0Gbps"}|}, "bad datarate \"0Gbps\"");
+          ({|"eval","config":{"node":"nan"}|}, "bad node \"nan\"");
+          ({|"eval","pattern":"act bogus"|}, "unknown command \"bogus\" in pattern");
+          ({|"corners","samples":0|}, "bad samples 0 (must be at least 1)");
+          ( {|"corners","spread":1.5|},
+            "bad spread 1.5 (must be finite, at least 0 and below 1)" );
+          ( {|"corners","spread":-0.1|},
+            "bad spread -0.1 (must be finite, at least 0 and below 1)" );
         ];
       Unix.close fd)
 
