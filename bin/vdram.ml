@@ -773,11 +773,13 @@ let check_cmd =
          (match String.split_on_char ':' r with
           | [ lo; hi ] ->
             (match (float_of_string_opt lo, float_of_string_opt hi) with
-             | Some lo, Some hi when lo > 0.0 && lo <= hi ->
+             | Some lo, Some hi
+               when Float.is_finite lo && Float.is_finite hi && lo > 0.0
+                    && lo <= hi ->
                Ok (Abox.axis lens ~lo ~hi)
              | _ ->
                Error
-                 (Printf.sprintf "bad range %S (want 0 < LO <= HI)" r))
+                 (Printf.sprintf "bad range %S (want finite 0 < LO <= HI)" r))
           | _ -> Error (Printf.sprintf "bad range %S (want LO:HI)" r)))
   in
   let pp_interval ppf (i : I.t) =
@@ -835,6 +837,8 @@ let check_cmd =
   in
   let run files certify out lens_specs all_lenses splits cells samples seed
       format deny allow =
+    Result.iter_error (usage_error "%s")
+      (Check.validate ~splits ~max_cells:cells ~samples);
     match List.find_opt (fun c -> not (Code.is_known c)) allow with
     | Some c ->
       fail "unknown lint code %S (doc/CHECK.md lists the inventory)" c
@@ -854,7 +858,7 @@ let check_cmd =
         else Ok (Check.default_axes ())
       in
       (match axes with
-       | Error e -> fail "%s" e
+       | Error e -> usage_error "%s" e
        | Ok axes ->
          let check_one f =
            let r =
@@ -909,6 +913,18 @@ let check_cmd =
                  Out_channel.output_string oc payload)
            | None -> print_string payload
          end;
+         (* A concrete sample outside its certified bounds means the
+            interval evaluator is unsound: an error, whatever the
+            findings. *)
+         List.iter
+           (fun (f, r) ->
+             match r.Check.certificate with
+             | Some { Certificate.samples = Some { contained = false; _ }; _ }
+               ->
+               usage_error "%s: a concrete sample lies outside the certified \
+                            bounds" f
+             | _ -> ())
+           results;
          (match Lint.exit_code ~deny_warnings:deny reports with
           | 0 ->
             if List.exists (fun (_, r) -> r.Check.certificate = None) results

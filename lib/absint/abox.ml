@@ -114,6 +114,19 @@ let field t get =
        I.v (Float.min vlo vhi) (Float.max vlo vhi)
      | many -> enumerate_corners t (List.map (fun (a, _, _) -> a) many) get)
 
+let fixed t get =
+  let v = get t.base in
+  if t.axes <> [] then
+    Array.iter2
+      (fun a (clo, chi) ->
+        let same c = let w = get c in w == v || w = v in
+        if not (same clo && same chi) then
+          invalid_arg
+            (Printf.sprintf "Abox.fixed: axis %S moves a structural input"
+               a.lens.Lenses.name))
+      (Array.of_list t.axes) (Lazy.force t.corners);
+  v
+
 let instantiate t scales =
   if List.length scales <> List.length t.axes then
     invalid_arg "Abox.instantiate: one scale per axis required";
@@ -125,13 +138,6 @@ let instantiate t scales =
              a.lens.Lenses.name);
       Lenses.scale a.lens s cfg)
     t.base t.axes scales
-
-let nominal_scales t =
-  List.map
-    (fun a ->
-      let s = a.scale in
-      if I.contains s 1.0 then 1.0 else I.mid s)
-    t.axes
 
 (* Split the box across its widest non-degenerate axis; [None] when
    every axis is a point (nothing left to refine). *)

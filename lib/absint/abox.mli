@@ -32,13 +32,14 @@ val field : t -> (Vdram_core.Config.t -> float) -> Vdram_units.Interval.t
     at most one axis, a widened corner hull otherwise, and a point
     for getters no axis moves. *)
 
+val fixed : t -> (Vdram_core.Config.t -> 'a) -> 'a
+(** The nominal value of a structural input (one the interval evaluator
+    reads as a point).  Raises [Invalid_argument] naming the axis if a
+    corner of any axis changes it (compared with [==], then [=]). *)
+
 val instantiate : t -> float list -> Vdram_core.Config.t
 (** Concrete member of the box at the given per-axis scales (one per
     axis, each inside its interval — [Invalid_argument] otherwise). *)
-
-val nominal_scales : t -> float list
-(** Per-axis scales of a canonical member: 1.0 where the axis interval
-    contains it, the midpoint otherwise. *)
 
 val split : t -> (t * t) option
 (** Bisect across the widest axis; [None] if every axis is a point. *)

@@ -2,11 +2,12 @@
     extraction, background power, pattern mix — over interval-valued
     configurations.
 
-    Every function transcribes its concrete counterpart operation for
-    operation in the same association order, so by induction each
-    concrete intermediate of evaluating any member of the box lies
-    inside the mirrored interval.  The per-stage qcheck property in
-    the test suite exercises this correspondence on random boxes. *)
+    The circuit equations are the interval twin generated from the
+    float source ({!Vdram_core.Physics_interval}), each operation in the
+    same order, so by induction each concrete intermediate of evaluating
+    any member of the box lies inside the mirrored interval.  The
+    per-stage qcheck property in the test suite exercises this
+    correspondence on random boxes. *)
 
 type contribution = {
   label : string;

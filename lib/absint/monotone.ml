@@ -94,6 +94,7 @@ let chain_holds ~direction intervals =
   !holds
 
 let certify ?(max_cells = 32) ~base ~lens ~lo ~hi ~metric pattern =
+  if max_cells < 4 then invalid_arg "Monotone.certify: max_cells below 4";
   let group = lens.Lenses.group in
   let name = lens.Lenses.name in
   let fail cells =
@@ -115,7 +116,7 @@ let certify ?(max_cells = 32) ~base ~lens ~lo ~hi ~metric pattern =
   | Some at_lo, Some at_hi ->
     let direction = if at_lo <= at_hi then Increasing else Decreasing in
     let rec refine cells =
-      if cells > max_cells then fail max_cells
+      if cells > max_cells then fail (cells / 2)
       else
         match
           cell_intervals ~base ~lens ~lo ~hi ~cells ~metric pattern

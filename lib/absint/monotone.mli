@@ -41,4 +41,5 @@ val certify :
   certificate
 (** Certify one lens direction; the partition is refined adaptively
     (4, 8, 16, ... up to [max_cells], default 32) until the chain
-    closes or the budget is exhausted. *)
+    closes or the budget is exhausted.  Raises [Invalid_argument] when
+    [max_cells < 4]. *)

@@ -25,13 +25,6 @@ type t = {
   name : string;
   group : group;
   range : float * float;  (** default certified scale-factor range *)
-  dirties : Vdram_circuits.Contribution.group list;
-      (** circuit groups whose extraction sub-key the lens can touch:
-          the staged engine's delta-extraction re-extracts exactly
-          these and splices the rest.  Empty for mix-stage-only lenses
-          (generator efficiencies, constant current adder, receiver
-          bias), whose perturbations re-use the whole base
-          extraction. *)
   get : Vdram_core.Config.t -> float;
   set : Vdram_core.Config.t -> float -> Vdram_core.Config.t;
   target : target;

@@ -1,5 +1,7 @@
 (* Signaling buses: wire segments with optional buffers. *)
 
+[@@@physics Bus]
+
 module P = Vdram_tech.Params
 module D = Vdram_tech.Devices
 
@@ -54,6 +56,7 @@ let segment_capacitance (p : P.t) s =
       +. D.device_cap p D.Logic ~w:wp ~l:p.lmin_logic
   in
   wire +. buffer
+[@@physics]
 
 let energy_per_bit (p : P.t) (d : Domains.t) t =
   List.fold_left
@@ -63,9 +66,23 @@ let energy_per_bit (p : P.t) (d : Domains.t) t =
          *. Contribution.event ~cap:(segment_capacitance p s)
               ~voltage:d.vint)
     0.0 t.segments
+[@@physics]
 
 let energy_per_event (p : P.t) (d : Domains.t) t =
   float_of_int t.wires *. energy_per_bit p d t
+[@@physics]
+
+(* One event of every wire of the bus, as the contribution [label]. *)
+let event_contribution (p : P.t) (d : Domains.t) t ~label =
+  Contribution.v ~label ~domain:Domains.Vint ~energy:(energy_per_event p d t)
+[@@physics]
+
+(* Internal data buses are precharged dual-rail: one event per
+   transported bit independent of the data pattern. *)
+let transfer_contribution (p : P.t) (d : Domains.t) t ~label ~bits =
+  Contribution.v ~label ~domain:Domains.Vint
+    ~energy:(float_of_int bits *. energy_per_bit p d t)
+[@@physics]
 
 let total_length t =
   List.fold_left (fun acc s -> acc +. s.length) 0.0 t.segments

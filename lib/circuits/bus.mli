@@ -54,4 +54,14 @@ val energy_per_event : Vdram_tech.Params.t -> Domains.t -> t -> float
 (** Energy of one bus event (an address/command presented, a clock
     edge pair): all wires toggle with their segments' activity. *)
 
+val event_contribution :
+  Vdram_tech.Params.t -> Domains.t -> t -> label:string -> Contribution.t
+(** {!energy_per_event} as a Vint contribution labelled [label]. *)
+
+val transfer_contribution :
+  Vdram_tech.Params.t -> Domains.t -> t -> label:string -> bits:int ->
+  Contribution.t
+(** [bits] transported over a precharged dual-rail data bus, one
+    {!energy_per_bit} each, as a Vint contribution labelled [label]. *)
+
 val total_length : t -> float

@@ -1,5 +1,7 @@
 (* Column-path charge model: CSL, data lines, secondary sense-amps. *)
 
+[@@@physics Column]
+
 module P = Vdram_tech.Params
 module D = Vdram_tech.Devices
 module G = Vdram_floorplan.Array_geometry
@@ -17,19 +19,23 @@ let csl_capacitance (p : P.t) ~geometry =
     *. D.gate_cap_of p D.Logic ~w:p.w_sa_bitswitch ~l:p.l_sa_bitswitch
   in
   wire +. (stripes *. switch_gates)
+[@@physics]
 
 let secondary_sa_cap (p : P.t) =
   (* Four logic transistors of sense-pair size per master data line
      pair: amplifier cross-couple plus write driver. *)
   4.0 *. D.device_cap p D.Logic ~w:p.w_sa_n ~l:p.l_sa_n
+[@@physics]
 
 let madl_pair_capacitance (p : P.t) ~geometry =
   (2.0 *. p.c_wire_signal *. G.madl_length geometry) +. secondary_sa_cap p
+[@@physics]
 
 let local_dq_pair_capacitance (p : P.t) ~geometry =
   (* The local data lines run along the SA stripe across one
      sub-array's width. *)
   2.0 *. p.c_wire_signal *. G.subarray_width geometry
+[@@physics]
 
 (* Column decode mirrors the row pre-decode but fires per column
    command; its pre-decode lines run along the column-logic stripe
@@ -45,6 +51,7 @@ let column_decode_energy (p : P.t) (d : Domains.t) ~geometry ~csl_fires =
   Contribution.events
     ~count:(csl_fires *. p.mwl_predecode *. p.mwl_dec_activity)
     ~cap:line ~voltage:d.vint
+[@@physics]
 
 let access (p : P.t) (d : Domains.t) ~geometry ~bits ~write =
   let nbits = float_of_int bits in
@@ -87,3 +94,4 @@ let access (p : P.t) (d : Domains.t) ~geometry ~bits ~write =
                ~voltage:d.vint);
       ]
   else base
+[@@physics]

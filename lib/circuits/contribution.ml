@@ -5,6 +5,7 @@ type t = {
   domain : Domains.domain;
   energy : float;
 }
+[@@physics]
 
 (* The circuit group a contribution bundle originates from: the
    granularity of the staged engine's incremental delta-extraction.
@@ -31,11 +32,11 @@ let group_name = function
   | Interface -> "interface"
   | Logic -> "logic"
 
-let v ~label ~domain ~energy = { label; domain; energy }
+let v ~label ~domain ~energy = { label; domain; energy } [@@physics]
 
-let event ~cap ~voltage = 0.5 *. cap *. voltage *. voltage
+let event ~cap ~voltage = 0.5 *. cap *. voltage *. voltage [@@physics]
 
-let events ~count ~cap ~voltage = count *. event ~cap ~voltage
+let events ~count ~cap ~voltage = count *. event ~cap ~voltage [@@physics]
 
 let scale f t = { t with energy = t.energy *. f }
 
@@ -43,6 +44,7 @@ let total_at_vdd domains contributions =
   List.fold_left
     (fun acc c -> acc +. Domains.at_vdd domains c.domain c.energy)
     0.0 contributions
+[@@physics]
 
 let by_label contributions =
   let tbl = Hashtbl.create 16 in

@@ -18,6 +18,7 @@ type t = {
   eff_pp : float;
   i_constant : float;
 }
+[@@physics]
 
 let linear_efficiency ~vdd ~vout = Float.min 1.0 (vout /. vdd)
 
@@ -61,8 +62,9 @@ let efficiency t = function
   | Vint -> t.eff_int
   | Vbl -> t.eff_bl
   | Vpp -> t.eff_pp
+[@@physics]
 
-let at_vdd t d e = e /. efficiency t d
+let at_vdd t d e = e /. efficiency t d [@@physics]
 
 let pp ppf t =
   Format.fprintf ppf

@@ -1,5 +1,7 @@
 (* Peripheral logic blocks: gates, densities, toggle rates. *)
 
+[@@@physics Logic]
+
 module P = Vdram_tech.Params
 module D = Vdram_tech.Devices
 
@@ -18,6 +20,7 @@ type t = {
   trigger : trigger;
   toggle : float;
 }
+[@@physics]
 
 let v ?(w_nmos = 0.5e-6) ?(w_pmos = 0.5e-6) ?(transistors_per_gate = 4.0)
     ?(layout_density = 0.3) ?(wiring_density = 0.5) ?(toggle = 0.15) ~name
@@ -38,10 +41,12 @@ let v ?(w_nmos = 0.5e-6) ?(w_pmos = 0.5e-6) ?(transistors_per_gate = 4.0)
 let scale_widths f t = { t with w_nmos = t.w_nmos *. f; w_pmos = t.w_pmos *. f }
 
 let avg_width t = (t.w_nmos +. t.w_pmos) /. 2.0
+[@@physics]
 
 (* Area of one gate: transistor area over the layout density. *)
 let gate_area (p : P.t) t =
   t.transistors_per_gate *. avg_width t *. p.lmin_logic /. t.layout_density
+[@@physics]
 
 let gate_capacitance (p : P.t) t =
   let w = avg_width t in
@@ -54,9 +59,15 @@ let gate_capacitance (p : P.t) t =
      minimum gate lengths. *)
   let wire_length = t.wiring_density *. gate_area p t /. (4.0 *. p.lmin_logic) in
   device +. (p.c_wire_signal *. wire_length)
+[@@physics]
 
 let area (p : P.t) t = t.gates *. gate_area p t
 
 let energy_per_fire (p : P.t) (d : Domains.t) t =
   t.gates *. t.toggle
   *. Contribution.event ~cap:(gate_capacitance p t) ~voltage:d.vint
+[@@physics]
+
+let contribution (p : P.t) (d : Domains.t) t ~label =
+  Contribution.v ~label ~domain:Domains.Vint ~energy:(energy_per_fire p d t)
+[@@physics]

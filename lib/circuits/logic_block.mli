@@ -44,3 +44,7 @@ val energy_per_fire : Vdram_tech.Params.t -> Domains.t -> t -> float
 (** Energy dissipated each time the block evaluates (one clock cycle
     for [Always] blocks, one command for [On_operation] blocks):
     [gates * toggle * 1/2 C_gate Vint^2]. *)
+
+val contribution :
+  Vdram_tech.Params.t -> Domains.t -> t -> label:string -> Contribution.t
+(** {!energy_per_fire} as a Vint contribution labelled [label]. *)

@@ -1,5 +1,7 @@
 (* Charge model of the bitline sense-amplifier stripe (Fig 2). *)
 
+[@@@physics Sense_amp]
+
 module P = Vdram_tech.Params
 module D = Vdram_tech.Devices
 module G = Vdram_floorplan.Array_geometry
@@ -28,24 +30,29 @@ let bitline_device_load (p : P.t) (g : G.t) =
     | G.Open -> 0.0
   in
   sense +. eq_junction +. switch_junction +. mux_junction
+[@@physics]
 
 let set_gate_cap (p : P.t) =
   D.gate_cap_of p D.Logic ~w:p.w_sa_nset ~l:p.l_sa_nset
   +. D.gate_cap_of p D.Logic ~w:p.w_sa_pset ~l:p.l_sa_pset
+[@@physics]
 
 let common_node_cap (p : P.t) =
   D.junction_cap_of p D.Logic ~w:p.w_sa_n
   +. D.junction_cap_of p D.Logic ~w:p.w_sa_p
   +. D.junction_cap_of p D.Logic ~w:p.w_sa_nset
   +. D.junction_cap_of p D.Logic ~w:p.w_sa_pset
+[@@physics]
 
 let equalize_gate_cap (p : P.t) =
   3.0 *. D.gate_cap_of p D.High_voltage ~w:p.w_sa_eq ~l:p.l_sa_eq
+[@@physics]
 
 let mux_gate_cap (p : P.t) (g : G.t) =
   match g.style with
   | G.Folded -> 2.0 *. D.gate_cap_of p D.High_voltage ~w:p.w_sa_mux ~l:p.l_sa_mux
   | G.Open -> 0.0
+[@@physics]
 
 let activate (p : P.t) (d : Domains.t) ~geometry ~page_bits =
   let n = float_of_int page_bits in
@@ -92,6 +99,7 @@ let activate (p : P.t) (d : Domains.t) ~geometry ~page_bits =
         (Contribution.events ~count:n ~cap:(mux_gate_cap p geometry)
            ~voltage:d.vpp);
   ]
+[@@physics]
 
 let precharge (p : P.t) (d : Domains.t) ~geometry ~page_bits =
   let n = float_of_int page_bits in
@@ -112,6 +120,7 @@ let precharge (p : P.t) (d : Domains.t) ~geometry ~page_bits =
         (Contribution.events ~count:n ~cap:(mux_gate_cap p geometry)
            ~voltage:d.vpp);
   ]
+[@@physics]
 
 let write_back (p : P.t) (d : Domains.t) ~bits ~toggle =
   let flips = toggle *. float_of_int bits in
@@ -126,3 +135,4 @@ let write_back (p : P.t) (d : Domains.t) ~bits ~toggle =
       ~energy:
         (Contribution.events ~count:flips ~cap:p.c_cell ~voltage:d.vbl);
   ]
+[@@physics]

@@ -1,5 +1,7 @@
 (* Row-path charge model: decoder, master and local wordlines. *)
 
+[@@@physics Wordline]
+
 module P = Vdram_tech.Params
 module D = Vdram_tech.Devices
 module G = Vdram_floorplan.Array_geometry
@@ -9,6 +11,7 @@ module G = Vdram_floorplan.Array_geometry
 let lwd_gate_load (p : P.t) =
   D.gate_cap_of p D.High_voltage ~w:p.w_lwd_n ~l:p.lmin_hv
   +. D.gate_cap_of p D.High_voltage ~w:p.w_lwd_p ~l:p.lmin_hv
+[@@physics]
 
 let mwl_capacitance (p : P.t) ~geometry =
   let wire = p.c_wire_mwl *. G.master_wordline_length geometry in
@@ -18,6 +21,7 @@ let mwl_capacitance (p : P.t) ~geometry =
     +. D.junction_cap_of p D.High_voltage ~w:p.w_mwl_dec_p
   in
   wire +. (lwds *. lwd_gate_load p) +. decoder_junctions
+[@@physics]
 
 let lwl_capacitance (p : P.t) ~geometry =
   let wire = p.c_wire_lwl *. G.lwl_length geometry in
@@ -36,6 +40,7 @@ let lwl_capacitance (p : P.t) ~geometry =
     D.junction_cap_of p D.High_voltage ~w:p.w_lwd_restore
   in
   wire +. cells +. coupling +. restore_junction
+[@@physics]
 
 (* Select lines from the wordline controller into the driver stripes:
    one per activated sub-array, loaded with the controller load
@@ -44,6 +49,7 @@ let select_line_cap (p : P.t) =
   D.gate_cap_of p D.High_voltage ~w:p.w_wlctl_load_n ~l:p.lmin_hv
   +. D.gate_cap_of p D.High_voltage ~w:p.w_wlctl_load_p ~l:p.lmin_hv
   +. D.gate_cap_of p D.High_voltage ~w:p.w_lwd_restore ~l:p.lmin_hv
+[@@physics]
 
 (* Pre-decode: the row address fans out over pre-decoded lines running
    the length of the row-logic stripe, each loaded with decoder gates;
@@ -59,6 +65,7 @@ let predecode_energy (p : P.t) (d : Domains.t) ~geometry =
   Contribution.events
     ~count:(p.mwl_predecode *. p.mwl_dec_activity *. 2.0)
     ~cap:line ~voltage:d.vint
+[@@physics]
 
 let row_events (p : P.t) (d : Domains.t) ~geometry ~page_bits =
   let n_lwl = float_of_int (page_bits / geometry.G.bits_per_lwl) in
@@ -74,6 +81,7 @@ let row_events (p : P.t) (d : Domains.t) ~geometry ~page_bits =
       ~voltage:d.vpp
   in
   (mwl, lwl, select)
+[@@physics]
 
 let activate (p : P.t) (d : Domains.t) ~geometry ~page_bits =
   let mwl, lwl, select = row_events p d ~geometry ~page_bits in
@@ -85,6 +93,7 @@ let activate (p : P.t) (d : Domains.t) ~geometry ~page_bits =
       ~energy:select;
     Contribution.v ~label:"local wordline" ~domain:Domains.Vpp ~energy:lwl;
   ]
+[@@physics]
 
 let precharge (p : P.t) (d : Domains.t) ~geometry ~page_bits =
   let mwl, lwl, select = row_events p d ~geometry ~page_bits in
@@ -94,3 +103,4 @@ let precharge (p : P.t) (d : Domains.t) ~geometry ~page_bits =
       ~energy:select;
     Contribution.v ~label:"local wordline" ~domain:Domains.Vpp ~energy:lwl;
   ]
+[@@physics]

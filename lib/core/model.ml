@@ -2,7 +2,6 @@
 
 module C = Vdram_circuits.Contribution
 module Domains = Vdram_circuits.Domains
-module P = Vdram_tech.Params
 
 let receiver_bias_power (cfg : Config.t) =
   let d = cfg.Config.domains in
@@ -98,107 +97,31 @@ let version = "model-2026-08.3"
    configurations differing only in [name] share every stage output. *)
 let physics_projection (cfg : Config.t) = { cfg with Config.name = "" }
 
-(* ----- per-group sub-keys ------------------------------------------ *)
+(* ----- per-group dirty test ----------------------------------------- *)
 
-(* Each circuit group's sub-key is the marshalled tuple of exactly the
-   configuration values its charge model reads: two configurations
-   with equal sub-keys produce bit-identical contribution chunks for
-   that group, so delta-extraction may splice the chunk from a base
-   extraction whenever the sub-keys match.  Correctness is content
-   addressing, not trust — the key IS the group's read set, and the
-   qcheck delta=full property sweeps every lens to police it. *)
-
-let marshal_key v = Marshal.to_string v [ Marshal.No_sharing ]
-
-(* The tuples below are the definition of record for each group's read
-   set; {!group_key} marshals and digests them on demand for tests and
-   diagnostics.  The delta probe itself never builds them — it runs
-   the compiled field-by-field predicates of [dirty_groups], which must
-   mirror these tuples exactly; the delta=full qcheck property
-   cross-checks the two encodings against each other for every lens. *)
-let group_keys ~activated_bits:page (cfg : Config.t) =
-  let p = cfg.Config.tech and d = cfg.Config.domains in
-  let g = Config.geometry cfg in
-  let bits = Spec.bits_per_column_command cfg.Config.spec in
-  let wordline =
-    ( ( p.P.tox_logic, p.P.tox_hv, p.P.tox_cell, p.P.lmin_logic, p.P.lmin_hv,
-        p.P.cj_hv, p.P.l_cell, p.P.w_cell ),
-      ( p.P.c_bitline, p.P.bl_wl_coupling, p.P.c_wire_mwl, p.P.mwl_predecode,
-        p.P.w_mwl_dec_n, p.P.w_mwl_dec_p, p.P.mwl_dec_activity ),
-      ( p.P.w_wlctl_load_n, p.P.w_wlctl_load_p, p.P.w_lwd_n, p.P.w_lwd_p,
-        p.P.w_lwd_restore, p.P.c_wire_lwl, p.P.c_wire_signal ),
-      (d.Domains.vint, d.Domains.vpp),
-      (g, page) )
-  in
-  let sense_amp =
-    ( ( p.P.tox_logic, p.P.tox_hv, p.P.cj_logic, p.P.cj_hv, p.P.c_bitline,
-        p.P.c_cell ),
-      ( p.P.w_sa_n, p.P.l_sa_n, p.P.w_sa_p, p.P.l_sa_p, p.P.w_sa_eq,
-        p.P.l_sa_eq, p.P.w_sa_bitswitch ),
-      ( p.P.w_sa_mux, p.P.l_sa_mux, p.P.w_sa_nset, p.P.l_sa_nset,
-        p.P.w_sa_pset, p.P.l_sa_pset ),
-      (d.Domains.vint, d.Domains.vbl, d.Domains.vpp),
-      (g, page, bits, cfg.Config.data_toggle) )
-  in
-  let column =
-    ( ( p.P.c_wire_signal, p.P.bits_per_csl, p.P.tox_logic, p.P.cj_logic,
-        p.P.lmin_logic ),
-      ( p.P.w_sa_bitswitch, p.P.l_sa_bitswitch, p.P.w_sa_n, p.P.l_sa_n,
-        p.P.w_mwl_dec_n, p.P.w_mwl_dec_p, p.P.mwl_predecode,
-        p.P.mwl_dec_activity ),
-      (d.Domains.vint, d.Domains.vbl),
-      (g, bits) )
-  in
-  let bus =
-    ( (p.P.c_wire_signal, p.P.lmin_logic, p.P.tox_logic, p.P.cj_logic),
-      d.Domains.vint,
-      (cfg.Config.buses, bits) )
-  in
-  let interface =
-    ( d.Domains.vdd,
-      cfg.Config.data_toggle,
-      cfg.Config.io_predriver_cap,
-      cfg.Config.io_receiver_cap,
-      bits )
-  in
-  let logic =
-    ( (p.P.lmin_logic, p.P.tox_logic, p.P.cj_logic, p.P.c_wire_signal),
-      d.Domains.vint,
-      cfg.Config.logic )
-  in
-  (* Indexed by [C.group_index]. *)
-  [|
-    Obj.repr wordline;
-    Obj.repr sense_amp;
-    Obj.repr column;
-    Obj.repr bus;
-    Obj.repr interface;
-    Obj.repr logic;
-  |]
-
-(* Dirty-group bitmask over [C.group_index], deciding whether each
-   group's sub-key is unchanged without building or serializing the
-   projection tuples — a delta probe runs once per perturbed
-   configuration, and the tuple builds were measurably its most
-   expensive step.  Field comparisons mirror [group_keys] one for one;
-   float [=] is false on NaN, which errs toward dirty and is therefore
-   safe (an unnecessary re-extract is exact, a wrong splice is not). *)
+(* Dirty-group bitmask over [C.group_index]: a group is clean when
+   every value its charge model reads is unchanged, so delta-extraction
+   may splice its chunk from the base extraction.  The technology and
+   domain fields each group reads are generated from the float circuit
+   source ([Physics_reads], tools/physgen), following every call; what
+   stays here are the structural inputs the chunk plan hands the charge
+   models.  Each generated predicate starts with an [==] fast path: a
+   perturbed configuration is a copy of its base that physically
+   shares every record the lens did not rebuild.  Float [=] is false on
+   NaN, which errs toward dirty and is therefore safe (an unnecessary
+   re-extract is exact, a wrong splice is not).  The geometry
+   comparison is hoisted to the caller, which already has both
+   geometries in hand. *)
 let dirty_groups ~base_bits ~bits ~geometry_eq (a : Config.t) (b : Config.t) =
+  let module R = Physics_reads in
   let pa = a.Config.tech and pb = b.Config.tech in
   let da = a.Config.domains and db = b.Config.domains in
-  (* Structural [=] never shortcuts on physical equality (a value
-     containing NaN must differ from itself), but a perturbed
-     configuration is a copy of its base that physically shares every
-     substructure the lens did not rebuild — so an explicit [==] fast
-     path skips whole record and list walks for the common case of a
-     one-field perturbation.  The geometry comparison is hoisted to
-     the caller, which already has both geometries in hand. *)
-  let teq = pa == pb and deq = da == db in
   let page_eq = base_bits = bits in
   let colbits_eq =
     Spec.bits_per_column_command a.Config.spec
     = Spec.bits_per_column_command b.Config.spec
   in
+  let toggle_eq = a.Config.data_toggle = b.Config.data_toggle in
   let buses_eq =
     a.Config.buses == b.Config.buses || a.Config.buses = b.Config.buses
   in
@@ -206,106 +129,27 @@ let dirty_groups ~base_bits ~bits ~geometry_eq (a : Config.t) (b : Config.t) =
     a.Config.logic == b.Config.logic || a.Config.logic = b.Config.logic
   in
   let wordline =
-    (teq
-    || pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.tox_hv = pb.P.tox_hv
-       && pa.P.tox_cell = pb.P.tox_cell
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.lmin_hv = pb.P.lmin_hv
-       && pa.P.cj_hv = pb.P.cj_hv
-       && pa.P.l_cell = pb.P.l_cell
-       && pa.P.w_cell = pb.P.w_cell
-       && pa.P.c_bitline = pb.P.c_bitline
-       && pa.P.bl_wl_coupling = pb.P.bl_wl_coupling
-       && pa.P.c_wire_mwl = pb.P.c_wire_mwl
-       && pa.P.mwl_predecode = pb.P.mwl_predecode
-       && pa.P.w_mwl_dec_n = pb.P.w_mwl_dec_n
-       && pa.P.w_mwl_dec_p = pb.P.w_mwl_dec_p
-       && pa.P.mwl_dec_activity = pb.P.mwl_dec_activity
-       && pa.P.w_wlctl_load_n = pb.P.w_wlctl_load_n
-       && pa.P.w_wlctl_load_p = pb.P.w_wlctl_load_p
-       && pa.P.w_lwd_n = pb.P.w_lwd_n
-       && pa.P.w_lwd_p = pb.P.w_lwd_p
-       && pa.P.w_lwd_restore = pb.P.w_lwd_restore
-       && pa.P.c_wire_lwl = pb.P.c_wire_lwl
-       && pa.P.c_wire_signal = pb.P.c_wire_signal)
-    && (deq
-       || (da.Domains.vint = db.Domains.vint && da.Domains.vpp = db.Domains.vpp))
-    && geometry_eq && page_eq
+    R.wordline_params pa pb && R.wordline_domains da db && geometry_eq
+    && page_eq
   in
   let sense_amp =
-    (teq
-    || pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.tox_hv = pb.P.tox_hv
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.cj_hv = pb.P.cj_hv
-       && pa.P.c_bitline = pb.P.c_bitline
-       && pa.P.c_cell = pb.P.c_cell
-       && pa.P.w_sa_n = pb.P.w_sa_n
-       && pa.P.l_sa_n = pb.P.l_sa_n
-       && pa.P.w_sa_p = pb.P.w_sa_p
-       && pa.P.l_sa_p = pb.P.l_sa_p
-       && pa.P.w_sa_eq = pb.P.w_sa_eq
-       && pa.P.l_sa_eq = pb.P.l_sa_eq
-       && pa.P.w_sa_bitswitch = pb.P.w_sa_bitswitch
-       && pa.P.w_sa_mux = pb.P.w_sa_mux
-       && pa.P.l_sa_mux = pb.P.l_sa_mux
-       && pa.P.w_sa_nset = pb.P.w_sa_nset
-       && pa.P.l_sa_nset = pb.P.l_sa_nset
-       && pa.P.w_sa_pset = pb.P.w_sa_pset
-       && pa.P.l_sa_pset = pb.P.l_sa_pset)
-    && (deq
-       || da.Domains.vint = db.Domains.vint
-          && da.Domains.vbl = db.Domains.vbl
-          && da.Domains.vpp = db.Domains.vpp)
-    && geometry_eq && page_eq && colbits_eq
-    && a.Config.data_toggle = b.Config.data_toggle
+    R.sense_amp_params pa pb && R.sense_amp_domains da db && geometry_eq
+    && page_eq && colbits_eq && toggle_eq
   in
   let column =
-    (teq
-    || pa.P.c_wire_signal = pb.P.c_wire_signal
-       && pa.P.bits_per_csl = pb.P.bits_per_csl
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.w_sa_bitswitch = pb.P.w_sa_bitswitch
-       && pa.P.l_sa_bitswitch = pb.P.l_sa_bitswitch
-       && pa.P.w_sa_n = pb.P.w_sa_n
-       && pa.P.l_sa_n = pb.P.l_sa_n
-       && pa.P.w_mwl_dec_n = pb.P.w_mwl_dec_n
-       && pa.P.w_mwl_dec_p = pb.P.w_mwl_dec_p
-       && pa.P.mwl_predecode = pb.P.mwl_predecode
-       && pa.P.mwl_dec_activity = pb.P.mwl_dec_activity)
-    && (deq
-       || (da.Domains.vint = db.Domains.vint && da.Domains.vbl = db.Domains.vbl))
-    && geometry_eq && colbits_eq
+    R.column_params pa pb && R.column_domains da db && geometry_eq
+    && colbits_eq
   in
   let bus =
-    (teq
-    || pa.P.c_wire_signal = pb.P.c_wire_signal
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic)
-    && (deq || da.Domains.vint = db.Domains.vint)
-    && buses_eq && colbits_eq
+    R.bus_params pa pb && R.bus_domains da db && buses_eq && colbits_eq
   in
   let interface =
-    (deq || da.Domains.vdd = db.Domains.vdd)
-    && a.Config.data_toggle = b.Config.data_toggle
+    R.interface_params pa pb && R.interface_domains da db && toggle_eq
     && a.Config.io_predriver_cap = b.Config.io_predriver_cap
     && a.Config.io_receiver_cap = b.Config.io_receiver_cap
     && colbits_eq
   in
-  let logic =
-    (teq
-    || pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.c_wire_signal = pb.P.c_wire_signal)
-    && (deq || da.Domains.vint = db.Domains.vint)
-    && logic_eq
-  in
-  (* Bit positions follow [C.group_index], like [group_keys]. *)
+  let logic = R.logic_params pa pb && R.logic_domains da db && logic_eq in
   (if wordline then 0 else 1 lsl C.group_index C.Wordline)
   lor (if sense_amp then 0 else 1 lsl C.group_index C.Sense_amp)
   lor (if column then 0 else 1 lsl C.group_index C.Column)
@@ -447,15 +291,7 @@ let extract ?activated_bits ?geometry (cfg : Config.t) =
     op_energy = resum_op_energy segs;
   }
 
-let extraction_contributions ex kind =
-  Array.to_list ex.segs.(Operation.index kind)
-  |> List.concat_map (fun s -> s.seg_contribs)
-
 let extraction_energy ex kind = ex.op_energy.(Operation.index kind)
-
-let group_key ex group =
-  let keys = group_keys ~activated_bits:ex.proj_bits ex.proj in
-  Digest.to_hex (Digest.string (marshal_key keys.(C.group_index group)))
 
 (* ----- delta extraction -------------------------------------------- *)
 

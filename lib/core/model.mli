@@ -83,7 +83,7 @@ val extract :
 
 type delta_outcome = {
   dirtied : Vdram_circuits.Contribution.group list;
-      (** groups whose sub-key changed and were re-extracted *)
+      (** groups whose read values changed and were re-extracted *)
   spliced : int;  (** clean groups shared from the base extraction *)
   fallback : bool;
       (** a structural mismatch abandoned the splice for a full
@@ -97,10 +97,9 @@ val extract_delta :
   Config.t ->
   extraction * delta_outcome
 (** Incremental extraction against a base extraction: classifies each
-    circuit group clean or dirty by running compiled field-by-field
-    predicates over exactly the values the group's charge model reads
-    (the same read sets {!group_key} digests — a qcheck property
-    holds the two encodings in lockstep), re-extracts only the dirty
+    circuit group clean or dirty by comparing exactly the values the
+    group's charge model reads (its technology and domain fields are
+    generated from the float source), re-extracts only the dirty
     groups and splices the rest from the base.  Bit-identical to
     {!extract} on the same configuration — clean segments hold the
     same floats the full extraction would recompute, and totals are
@@ -108,19 +107,6 @@ val extract_delta :
     spliced segments keep their contribution chunks and recompute
     supply-energy terms for exactly the segments drawing from a
     changed efficiency's domain, sharing the rest untouched. *)
-
-val group_key : extraction -> Vdram_circuits.Contribution.group -> string
-(** Hex digest of one group's marshalled sub-key tuple — stable
-    across perturbations that cannot touch the group, changed
-    whenever one can.  The tuples are the definition of record for
-    each group's read set; the delta probe itself runs compiled
-    predicates mirroring them (never marshalling on the hot path),
-    and the lockstep property test cross-checks the two encodings
-    for every lens. *)
-
-val extraction_contributions :
-  extraction -> Operation.kind -> Vdram_circuits.Contribution.t list
-(** The cached equivalent of {!Operation.contributions}. *)
 
 val extraction_energy : extraction -> Operation.kind -> float
 (** The cached equivalent of {!Operation.energy}, a dense array

@@ -6,6 +6,7 @@ module Logic_block = Vdram_circuits.Logic_block
 module Sense_amp = Vdram_circuits.Sense_amp
 module Wordline = Vdram_circuits.Wordline
 module Column = Vdram_circuits.Column
+module Interface = Vdram_circuits.Interface
 
 type kind = Activate | Precharge | Read | Write | Nop
 
@@ -54,43 +55,6 @@ let trigger_matches trigger kind =
      | Some op -> List.mem op ops
      | None -> false)
 
-let bus_event (cfg : Config.t) role label =
-  let p = cfg.Config.tech and d = cfg.Config.domains in
-  match Config.bus cfg role with
-  | None -> []
-  | Some b ->
-    [ C.v ~label ~domain:Vdram_circuits.Domains.Vint
-        ~energy:(Bus.energy_per_event p d b) ]
-
-let data_transfer (cfg : Config.t) role label ~bits =
-  let p = cfg.Config.tech and d = cfg.Config.domains in
-  match Config.bus cfg role with
-  | None -> []
-  | Some b ->
-    (* Internal data buses are precharged dual-rail: one event per
-       transported bit independent of the data pattern. *)
-    let per_bit = Bus.energy_per_bit p d b in
-    [ C.v ~label ~domain:Vdram_circuits.Domains.Vint
-        ~energy:(float_of_int bits *. per_bit) ]
-
-(* Internal interface load per transported bit: output pre-drivers and
-   level shifters for reads, receivers / latches / strobe distribution
-   for writes.  The Vddq output stage itself is excluded, as in the
-   paper. *)
-let dq_interface (cfg : Config.t) ~bits ~write =
-  let d = cfg.Config.domains in
-  let cap =
-    if write then cfg.Config.io_receiver_cap else cfg.Config.io_predriver_cap
-  in
-  let label = if write then "DQ receivers" else "DQ pre-drivers" in
-  [
-    C.v ~label ~domain:Vdram_circuits.Domains.Vdd
-      ~energy:
-        (cfg.Config.data_toggle
-        *. C.events ~count:(float_of_int bits) ~cap
-             ~voltage:d.Vdram_circuits.Domains.vdd);
-  ]
-
 (* [activated_bits] lets a caller that has already resolved the
    floorplan (the staged engine's geometry stage) feed the page size in
    instead of re-deriving it from the configuration.
@@ -99,10 +63,10 @@ let dq_interface (cfg : Config.t) ~bits ~write =
    chunks.  The chunk plan of each kind — which group produces which
    chunk, in concatenation order — is static (it never depends on
    configuration values) and built once at module initialization as
-   closures over a per-configuration [ctx]: [segments] wraps them as
-   thunks for callers that force every chunk, while delta-extraction
-   reads {!plan} and calls {!chunk} for just the dirtied positions,
-   paying neither list nor closure construction per operation. *)
+   {!step}s evaluated over a per-configuration [ctx]: [segments] wraps
+   them as thunks for callers that force every chunk, while
+   delta-extraction reads {!plan} and calls {!chunk} for just the
+   dirtied positions, paying no list construction per operation. *)
 type ctx = {
   c_cfg : Config.t;
   c_p : Vdram_tech.Params.t;
@@ -169,8 +133,7 @@ let logic_table x =
         (List.mapi
            (fun i (b : Logic_block.t) ->
              ( b.Logic_block.trigger,
-               C.v ~label:labels.(i) ~domain:Vdram_circuits.Domains.Vint
-                 ~energy:(Logic_block.energy_per_fire x.c_p x.c_d b) ))
+               Logic_block.contribution x.c_p x.c_d b ~label:labels.(i) ))
            x.c_cfg.Config.logic)
     in
     x.c_logic <- a;
@@ -192,81 +155,108 @@ let logic_contributions x kind =
   in
   collect 0
 
-let plan_of kind : (C.group * (ctx -> C.t list)) array =
-  let logic = (C.Logic, fun x -> logic_contributions x kind) in
-  match kind with
+(* The chunk plan: which charge model produces each chunk of an
+   operation's contribution list, in concatenation order.  It is data,
+   so the float evaluation below and the interval evaluator
+   (Vdram_absint.Aeval) walk the same plan. *)
+type step =
+  | Wordline_activate
+  | Wordline_precharge
+  | Sense_amp_activate
+  | Sense_amp_precharge
+  | Sense_amp_write_back
+  | Column_access of { write : bool }
+  | Bus_events of (Bus.role * string) list
+  | Data_transfer of Bus.role * string
+  | Dq_interface of { write : bool }
+  | Logic_blocks
+
+let step_group = function
+  | Wordline_activate | Wordline_precharge -> C.Wordline
+  | Sense_amp_activate | Sense_amp_precharge | Sense_amp_write_back ->
+    C.Sense_amp
+  | Column_access _ -> C.Column
+  | Bus_events _ | Data_transfer _ -> C.Bus
+  | Dq_interface _ -> C.Interface
+  | Logic_blocks -> C.Logic
+
+let address_buses roles =
+  Bus_events
+    (List.map (fun role -> (role, Bus.role_name role ^ " bus")) roles)
+
+let steps_of = function
   | Activate ->
     [|
-      ( C.Wordline,
-        fun x -> Wordline.activate x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page
-      );
-      ( C.Sense_amp,
-        fun x ->
-          Sense_amp.activate x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page );
-      ( C.Bus,
-        fun x ->
-          bus_event x.c_cfg Bus.Row_address "row address bus"
-          @ bus_event x.c_cfg Bus.Bank_address "bank address bus"
-          @ bus_event x.c_cfg Bus.Command "command bus" );
-      logic;
+      Wordline_activate;
+      Sense_amp_activate;
+      address_buses [ Bus.Row_address; Bus.Bank_address; Bus.Command ];
+      Logic_blocks;
     |]
   | Precharge ->
     [|
-      ( C.Wordline,
-        fun x ->
-          Wordline.precharge x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page );
-      ( C.Sense_amp,
-        fun x ->
-          Sense_amp.precharge x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page );
-      ( C.Bus,
-        fun x ->
-          bus_event x.c_cfg Bus.Bank_address "bank address bus"
-          @ bus_event x.c_cfg Bus.Command "command bus" );
-      logic;
+      Wordline_precharge;
+      Sense_amp_precharge;
+      address_buses [ Bus.Bank_address; Bus.Command ];
+      Logic_blocks;
     |]
   | Read ->
     [|
-      ( C.Column,
-        fun x -> Column.access x.c_p x.c_d ~geometry:x.c_g ~bits:x.c_bits ~write:false
-      );
-      ( C.Bus,
-        fun x -> data_transfer x.c_cfg Bus.Read_data "read data bus" ~bits:x.c_bits
-      );
-      (C.Interface, fun x -> dq_interface x.c_cfg ~bits:x.c_bits ~write:false);
-      ( C.Bus,
-        fun x ->
-          bus_event x.c_cfg Bus.Column_address "column address bus"
-          @ bus_event x.c_cfg Bus.Bank_address "bank address bus"
-          @ bus_event x.c_cfg Bus.Command "command bus" );
-      logic;
+      Column_access { write = false };
+      Data_transfer (Bus.Read_data, "read data bus");
+      Dq_interface { write = false };
+      address_buses [ Bus.Column_address; Bus.Bank_address; Bus.Command ];
+      Logic_blocks;
     |]
   | Write ->
     [|
-      ( C.Column,
-        fun x -> Column.access x.c_p x.c_d ~geometry:x.c_g ~bits:x.c_bits ~write:true
-      );
-      ( C.Sense_amp,
-        fun x ->
-          Sense_amp.write_back x.c_p x.c_d ~bits:x.c_bits
-            ~toggle:x.c_cfg.Config.data_toggle );
-      ( C.Bus,
-        fun x ->
-          data_transfer x.c_cfg Bus.Write_data "write data bus" ~bits:x.c_bits );
-      (C.Interface, fun x -> dq_interface x.c_cfg ~bits:x.c_bits ~write:true);
-      ( C.Bus,
-        fun x ->
-          bus_event x.c_cfg Bus.Column_address "column address bus"
-          @ bus_event x.c_cfg Bus.Bank_address "bank address bus"
-          @ bus_event x.c_cfg Bus.Command "command bus" );
-      logic;
+      Column_access { write = true };
+      Sense_amp_write_back;
+      Data_transfer (Bus.Write_data, "write data bus");
+      Dq_interface { write = true };
+      address_buses [ Bus.Column_address; Bus.Bank_address; Bus.Command ];
+      Logic_blocks;
     |]
   | Nop ->
     (* One control-clock cycle of background: clock trunk and tree
        plus the always-on logic. *)
-    [| (C.Bus, fun x -> bus_event x.c_cfg Bus.Clock "clock distribution"); logic |]
+    [| Bus_events [ (Bus.Clock, "clock distribution") ]; Logic_blocks |]
 
-let plans = Array.init n (fun i -> plan_of (of_index i))
-let plan_groups = Array.map (Array.map fst) plans
+let bus_contributions (cfg : Config.t) roles =
+  List.concat_map
+    (fun (role, label) ->
+      match Config.bus cfg role with
+      | None -> []
+      | Some b -> [ Bus.event_contribution cfg.Config.tech cfg.Config.domains b ~label ])
+    roles
+
+let eval_step x kind = function
+  | Wordline_activate ->
+    Wordline.activate x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page
+  | Wordline_precharge ->
+    Wordline.precharge x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page
+  | Sense_amp_activate ->
+    Sense_amp.activate x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page
+  | Sense_amp_precharge ->
+    Sense_amp.precharge x.c_p x.c_d ~geometry:x.c_g ~page_bits:x.c_page
+  | Sense_amp_write_back ->
+    Sense_amp.write_back x.c_p x.c_d ~bits:x.c_bits
+      ~toggle:x.c_cfg.Config.data_toggle
+  | Column_access { write } ->
+    Column.access x.c_p x.c_d ~geometry:x.c_g ~bits:x.c_bits ~write
+  | Bus_events roles -> bus_contributions x.c_cfg roles
+  | Data_transfer (role, label) ->
+    (match Config.bus x.c_cfg role with
+     | None -> []
+     | Some b -> [ Bus.transfer_contribution x.c_p x.c_d b ~label ~bits:x.c_bits ])
+  | Dq_interface { write } ->
+    let cfg = x.c_cfg in
+    Interface.dq x.c_d ~toggle:cfg.Config.data_toggle
+      ~receiver_cap:cfg.Config.io_receiver_cap
+      ~predriver_cap:cfg.Config.io_predriver_cap ~bits:x.c_bits ~write
+  | Logic_blocks -> logic_contributions x kind
+
+let plans = Array.init n (fun i -> steps_of (of_index i))
+let plan_groups = Array.map (Array.map step_group) plans
 let plan_indices_tbl = Array.map (Array.map C.group_index) plan_groups
 
 let plan_masks =
@@ -275,16 +265,18 @@ let plan_masks =
     plan_groups
 
 (* Shared static arrays: callers must treat them as read-only. *)
+let steps kind = plans.(index kind)
 let plan kind = plan_groups.(index kind)
 let plan_indices kind = plan_indices_tbl.(index kind)
 let plan_mask kind = plan_masks.(index kind)
-let chunk x kind j = (snd plans.(index kind).(j)) x
+let chunk x kind j = eval_step x kind plans.(index kind).(j)
 
 let segments ?activated_bits (cfg : Config.t) kind :
     (C.group * (unit -> C.t list)) list =
   let x = ctx ?activated_bits cfg in
   Array.to_list
-    (Array.map (fun (g, f) -> (g, fun () -> f x)) plans.(index kind))
+    (Array.map (fun st -> (step_group st, fun () -> eval_step x kind st))
+       plans.(index kind))
 
 let contributions ?activated_bits (cfg : Config.t) kind =
   List.concat_map

@@ -45,6 +45,37 @@ val ctx :
     probe which compared geometries a moment earlier) feed the results
     in instead of re-deriving them. *)
 
+val trigger_matches : Vdram_circuits.Logic_block.trigger -> kind -> bool
+(** Whether a logic block with this trigger evaluates on one occurrence
+    of the operation: [Always] blocks on [Nop] (every control-clock
+    cycle), [On_operation] blocks on the listed commands. *)
+
+val logic_labels : Vdram_circuits.Logic_block.t list -> string array
+(** The breakdown label of each logic block, ["logic: " ^ name],
+    memoized on the physical identity of the list. *)
+
+type step =
+  | Wordline_activate
+  | Wordline_precharge
+  | Sense_amp_activate
+  | Sense_amp_precharge
+  | Sense_amp_write_back
+  | Column_access of { write : bool }
+  | Bus_events of (Vdram_circuits.Bus.role * string) list
+      (** one event of each present bus, with its label *)
+  | Data_transfer of Vdram_circuits.Bus.role * string
+      (** the column's bits over the data bus, if present *)
+  | Dq_interface of { write : bool }
+  | Logic_blocks  (** every block whose trigger matches the operation *)
+(** One chunk of an operation's contribution list: which charge model
+    produces it. *)
+
+val steps : kind -> step array
+(** The operation's static chunk plan as steps, in concatenation
+    order.  The float evaluation and the interval evaluator
+    ([Vdram_absint.Aeval]) both walk it.  Shared — treat it as
+    read-only. *)
+
 val plan : kind -> Vdram_circuits.Contribution.group array
 (** The operation's static chunk plan: which circuit group produces
     chunk [j], in the same concatenation order as {!segments}.  The

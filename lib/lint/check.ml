@@ -273,8 +273,21 @@ let sample_check ~seed ~count box p (b : Bounds.t) =
 
 (* ----- driver ------------------------------------------------------ *)
 
+(* Monotonicity refinement starts at four cells. *)
+let validate ~splits ~max_cells ~samples =
+  if splits < 0 then
+    Error (Printf.sprintf "bad splits %d (must be at least 0)" splits)
+  else if max_cells < 4 then
+    Error (Printf.sprintf "bad cells %d (must be at least 4)" max_cells)
+  else if samples < 0 then
+    Error (Printf.sprintf "bad samples %d (must be at least 0)" samples)
+  else Ok ()
+
 let run ?axes ?(splits = 4) ?(max_cells = 32) ?(samples = 0)
     ?(seed = 0x5eed) ?file source =
+  (match validate ~splits ~max_cells ~samples with
+   | Ok () -> ()
+   | Error e -> invalid_arg ("Check.run: " ^ e));
   let axes = match axes with Some a -> a | None -> default_axes () in
   let base_report diagnostics =
     {

@@ -27,6 +27,24 @@ val metric_for : Vdram_core.Pattern.t -> Vdram_absint.Monotone.metric
 (** Energy per bit when the pattern moves data, average power
     otherwise. *)
 
+val validate :
+  splits:int -> max_cells:int -> samples:int -> (unit, string) result
+(** [Error] with a message naming the knob unless [splits >= 0],
+    [max_cells >= 4] (monotonicity refinement starts at four cells) and
+    [samples >= 0]. *)
+
+val sample_check :
+  seed:int ->
+  count:int ->
+  Vdram_absint.Abox.t ->
+  Vdram_core.Pattern.t ->
+  Vdram_absint.Bounds.t ->
+  Vdram_absint.Certificate.samples
+(** Draw [count] concrete configurations from the box (uniform scales
+    per axis, seeded) and evaluate each with the float model:
+    [contained] is [false] as soon as one power, current, background
+    or energy-per-bit value falls outside the bounds. *)
+
 val run :
   ?axes:Vdram_absint.Abox.axis list ->
   ?splits:int ->
@@ -42,7 +60,8 @@ val run :
     monotonicity partition; [samples] (default 0) the number of
     concrete random configurations drawn from the box and asserted
     inside the bounds, recorded in the certificate's [samples]
-    entry; [seed] fixes the sample stream. *)
+    entry; [seed] fixes the sample stream.  Raises [Invalid_argument]
+    on knobs {!validate} rejects. *)
 
 val run_file :
   ?axes:Vdram_absint.Abox.axis list ->

@@ -41,6 +41,7 @@ type t = {
   l_sa_pset : float;
   c_wire_signal : float;
 }
+[@@physics]
 
 let reference_node = Node.N55
 

@@ -128,14 +128,6 @@ let max_ a b = { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
 
 let is_finite t = Float.is_finite t.lo && Float.is_finite t.hi
 
-(* Relative width against the larger endpoint magnitude; infinite
-   intervals compare wider than any finite one. *)
-let relative_width t =
-  if not (is_finite t) then Float.infinity
-  else
-    let m = Float.max (Float.abs t.lo) (Float.abs t.hi) in
-    if m = 0.0 then 0.0 else width t /. m
-
 let pp ppf t =
   if is_point t then Format.fprintf ppf "%.6g" t.lo
   else Format.fprintf ppf "[%.6g, %.6g]" t.lo t.hi

@@ -32,7 +32,6 @@ val contains : t -> float -> bool
 val subset : t -> t -> bool
 val hull : t -> t -> t
 val width : t -> float
-val relative_width : t -> float
 val mid : t -> float
 val split : t -> t * t
 val is_finite : t -> bool

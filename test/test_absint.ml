@@ -361,6 +361,37 @@ let test_monotone_interface () =
   | Some Monotone.Increasing -> ()
   | _ -> Alcotest.fail "energy/bit not certified increasing in DQ load"
 
+(* The sampling cross-check reports an escaped sample instead of
+   absorbing it: bounds shrunk below the nominal power must fail. *)
+let test_sample_check_flags_escape () =
+  let cfg = base () in
+  let pattern = Pattern.idd7_mixed cfg.Config.spec in
+  let box = Abox.v ~base:cfg (List.map Abox.default_axis Lenses.voltages) in
+  let bounds = Bounds.compute ~splits:0 box pattern in
+  let check b =
+    (Vdram_lint.Check.sample_check ~seed:1 ~count:50 box pattern b)
+      .Certificate.contained
+  in
+  Helpers.check_true "computed bounds contain every sample" (check bounds);
+  let nominal = (Model.pattern_power cfg pattern).Report.power in
+  let shrunk =
+    { bounds with Bounds.power = I.v (nominal *. 0.25) (nominal *. 0.5) }
+  in
+  Helpers.check_true "shrunk bounds flagged" (not (check shrunk))
+
+(* An uncertified entry names the deepest partition actually tried:
+   with a budget of 40 cells refinement stops after 32.  The receiver
+   load cannot move a loop without writes, so nothing certifies. *)
+let test_monotone_deepest_tried () =
+  let cfg = base () in
+  let lens = Option.get (Lenses.find "DQ receiver load") in
+  let cert =
+    Monotone.certify ~max_cells:40 ~base:cfg ~lens ~lo:0.8 ~hi:1.2
+      ~metric:Monotone.Energy_per_bit (Pattern.idd4r cfg.Config.spec)
+  in
+  Helpers.check_true "not certified" (cert.Monotone.direction = None);
+  Alcotest.(check int) "deepest partition tried" 32 cert.Monotone.cells
+
 let suite =
   [
     Alcotest.test_case "interval basics" `Quick test_interval_basics;
@@ -376,4 +407,8 @@ let suite =
     Alcotest.test_case "monotone: power vs Vdd" `Quick test_monotone_vdd;
     Alcotest.test_case "monotone: energy/bit vs DQ load" `Quick
       test_monotone_interface;
+    Alcotest.test_case "sampling check flags an escaped sample" `Quick
+      test_sample_check_flags_escape;
+    Alcotest.test_case "monotone: uncertified reports deepest tried" `Quick
+      test_monotone_deepest_tried;
   ]

@@ -124,8 +124,7 @@ let test_sim_agrees_with_idd4 () =
     (sim_power > idd4r_power *. 0.7 && sim_power < idd4r_power *. 1.3)
 
 (* The one-shot CLI, run as a process: exit status, stdout, stderr. *)
-let run_cli args =
-  let exe = "../bin/vdram.exe" in
+let run_exe exe args =
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let pid =
@@ -138,6 +137,8 @@ let run_cli args =
   let stdout = read out_r in
   let stderr = read err_r in
   (snd (Unix.waitpid [] pid), stdout, stderr)
+
+let run_cli = run_exe "../bin/vdram.exe"
 
 (* A bad value exits 2 with one diagnostic naming it, and prints no
    device. *)
@@ -188,11 +189,46 @@ let test_cli_bad_knobs () =
       ( [ "--spread=-0.1" ],
         "bad spread -0.1 (must be finite, at least 0 and below 1)" );
     ];
+  (* Check knobs go through Check.validate, lens ranges must be finite;
+     both are rejected before any file is read. *)
+  List.iter
+    (fun (args, message) ->
+      check_usage_error (("check" :: args) @ [ "../examples/sdr_128m.dram" ])
+        message)
+    [
+      ([ "--cells=-3" ], "bad cells -3 (must be at least 4)");
+      ([ "--cells=0" ], "bad cells 0 (must be at least 4)");
+      ([ "--splits=-2" ], "bad splits -2 (must be at least 0)");
+      ([ "--samples=-5" ], "bad samples -5 (must be at least 0)");
+      ( [ "--lens"; "bitline capacitance=1:inf" ],
+        "bad range \"1:inf\" (want finite 0 < LO <= HI)" );
+    ];
   (* A description file's error names the file. *)
   check_usage_error
     [ "power"; "fixtures/fixable.dram" ]
     "fixtures/fixable.dram: line 11: unknown technology parameter \
      \"cbitlinez\" [V0201]"
+
+(* The interval generator refuses a physics function it cannot carry
+   soundly, naming the function and the construct, and writes
+   nothing. *)
+let test_physgen_rejects () =
+  let out = Filename.temp_file "physgen" ".ml" in
+  Sys.remove out;
+  let status, _, stderr =
+    run_exe "../tools/physgen/physgen.exe"
+      [
+        "-interval"; out;
+        "../lib/tech/.vdram_tech.objs/byte/vdram_tech__Params.cmt";
+        "physgen_fixture/.physgen_fixture.objs/byte/physgen_fixture.cmt";
+      ]
+  in
+  Helpers.check_true "exit 1" (status = Unix.WEXITED 1);
+  Alcotest.(check string) "message"
+    "physgen: Physgen_fixture.narrowest_sense_device: Float.min is outside \
+     the generated set"
+    (String.trim stderr);
+  Helpers.check_true "no output written" (not (Sys.file_exists out))
 
 (* Served = one-shot: for the same description, knobs and explicit
    pattern, the daemon's [text] is the CLI's stdout, byte for byte. *)
@@ -251,4 +287,6 @@ let suite =
       test_cli_bad_knobs;
     Alcotest.test_case "cli: served text equals one-shot stdout" `Quick
       test_served_equals_cli;
+    Alcotest.test_case "physgen: untranslatable physics fails the build"
+      `Quick test_physgen_rejects;
   ]

@@ -194,88 +194,6 @@ let test_energy_report () =
   Helpers.check_true "average power plausible for DDR3 (0.01..2 W)"
     (r.Energy_model.average_power > 0.01 && r.Energy_model.average_power < 2.0)
 
-let test_command_trace () =
-  let c = cfg () in
-  let t = Timing.of_config c in
-  let entries =
-    [ { Command_trace.cycle = 0; command = Command_trace.Act (0, 5) };
-      { Command_trace.cycle = t.Timing.trcd;
-        command = Command_trace.Rd 0 };
-      { Command_trace.cycle = t.Timing.trcd + t.Timing.tccd;
-        command = Command_trace.Wr 0 };
-      { Command_trace.cycle = t.Timing.trcd + (8 * t.Timing.tccd)
-                              + t.Timing.twl + t.Timing.twr;
-        command = Command_trace.Pre 0 };
-      { Command_trace.cycle = 4 * t.Timing.trc;
-        command = Command_trace.Ref } ]
-  in
-  let r = Command_trace.run c entries in
-  Alcotest.(check int) "one activate" 1 r.Command_trace.stats.Stats.activates;
-  Alcotest.(check int) "one read" 1 r.Command_trace.stats.Stats.reads;
-  Alcotest.(check int) "one write" 1 r.Command_trace.stats.Stats.writes;
-  Alcotest.(check int) "one refresh" 1 r.Command_trace.stats.Stats.refreshes;
-  Alcotest.(check int) "no violations" 0
-    (List.length r.Command_trace.violations);
-  Helpers.check_positive "trace energy"
-    r.Command_trace.energy.Energy_model.energy
-
-let test_command_trace_violations () =
-  let c = cfg () in
-  let bad =
-    [ { Command_trace.cycle = 0; command = Command_trace.Act (0, 5) };
-      (* Read before tRCD. *)
-      { Command_trace.cycle = 1; command = Command_trace.Rd 0 } ]
-  in
-  (match Command_trace.run c bad with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "strict mode accepted a violation");
-  let r = Command_trace.run ~strict:false c bad in
-  Alcotest.(check int) "violation collected" 1
-    (List.length r.Command_trace.violations);
-  Alcotest.(check int) "offending command dropped" 0
-    r.Command_trace.stats.Stats.reads
-
-let test_command_trace_parse () =
-  let source =
-    "# demo\n0 ACT 0 5\n20 RD 0\n60 PRE 0\n100 PREA\n120 REF\n140 NOP\n"
-  in
-  (match Command_trace.parse source with
-   | Ok entries ->
-     Alcotest.(check int) "six entries" 6 (List.length entries);
-     (* Round trip through the printer. *)
-     (match Command_trace.parse (Command_trace.to_string entries) with
-      | Ok entries' ->
-        Alcotest.(check int) "round trip" (List.length entries)
-          (List.length entries')
-      | Error e -> Alcotest.fail e)
-   | Error e -> Alcotest.fail e);
-  match Command_trace.parse "0 BOGUS" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus command accepted"
-
-let test_command_trace_agrees_with_pattern () =
-  (* An Idd0-style command trace lands on the Idd0 pattern power. *)
-  let c = cfg () in
-  let t = Timing.of_config c in
-  let loops = 200 in
-  let entries =
-    List.concat
-      (List.init loops (fun i ->
-           let base = i * t.Timing.trc in
-           [ { Command_trace.cycle = base; command = Command_trace.Act (0, i) };
-             { Command_trace.cycle = base + t.Timing.tras;
-               command = Command_trace.Pre 0 } ]))
-  in
-  let r = Command_trace.run c entries in
-  let sim_power = r.Command_trace.energy.Energy_model.average_power in
-  let idd0_power =
-    Helpers.power c (Vdram_core.Pattern.idd0 c.Config.spec)
-  in
-  Helpers.check_true
-    (Printf.sprintf "command trace near Idd0 (%.1f vs %.1f mW)"
-       (sim_power *. 1e3) (idd0_power *. 1e3))
-    (sim_power > idd0_power *. 0.85 && sim_power < idd0_power *. 1.15)
-
 let test_address_mapping () =
   let banks = 8 and rows = 512 and columns = 64 in
   let b, r, c = Trace.address_of ~banks ~rows ~columns 0L in
@@ -454,13 +372,6 @@ let suite =
     Alcotest.test_case "trace file round trip" `Quick test_trace_io;
     Alcotest.test_case "energy integration" `Quick test_energy_report;
     Alcotest.test_case "address mapping" `Quick test_address_mapping;
-    Alcotest.test_case "command trace replay" `Quick test_command_trace;
-    Alcotest.test_case "command trace violations" `Quick
-      test_command_trace_violations;
-    Alcotest.test_case "command trace parsing" `Quick
-      test_command_trace_parse;
-    Alcotest.test_case "command trace matches Idd0" `Quick
-      test_command_trace_agrees_with_pattern;
     Alcotest.test_case "reorder window effect" `Quick test_window_effect;
     Alcotest.test_case "data bus occupancy" `Quick test_data_bus_occupancy;
     Alcotest.test_case "hotspot locality between" `Quick test_hotspot_between;
