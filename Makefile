@@ -27,7 +27,6 @@ check-model: build
 
 bench:
 	dune exec bench/main.exe
-	dune exec bench/bench_lint.exe
 
 # The layered benchmark's correctness oracles (perfbench/NOTES.md): a
 # short untraced run of every workload plus a traced corners run.  Each

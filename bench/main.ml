@@ -1,5 +1,5 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, then times each regeneration with Bechamel.
+(* Paper-regeneration script: regenerates every table and figure of
+   the paper's evaluation, plus the extension studies.
 
    Sections:
      table1   - Table I   description parameter inventory
@@ -417,104 +417,6 @@ let system_view () =
        ~capacity_bits:(64.0 *. (2.0 ** 30.0))
        [ 4; 8; 16 ])
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing: one Test per table/figure regeneration. *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let silent f () =
-    (* Regenerate the artifact without printing. *)
-    f ()
-  in
-  let ddr3 = Devices.ddr3_1g ~node:Node.N65 () in
-  let trace =
-    Vdram_sim.Trace.uniform
-      ~rng:(Vdram_sim.Trace.rng 7)
-      ~requests:500 ~arrival_gap:8 ~banks:8 ~rows:256 ~columns:64
-      ~write_fraction:0.3
-  in
-  let dsl_source = Vdram_dsl.Printer.to_dsl ddr3 in
-  let tests =
-    [
-      Test.make ~name:"table1+2: parameter/change inventory"
-        (Staged.stage
-           (silent (fun () ->
-                ignore (List.length Params.fields);
-                ignore (List.length Disruptive.all))));
-      Test.make ~name:"fig5-7: scaling factors"
-        (Staged.stage
-           (silent (fun () ->
-                List.iter
-                  (fun (fam, _) ->
-                    List.iter
-                      (fun n -> ignore (Scaling.factor fam n))
-                      Node.all)
-                  Scaling.families)));
-      Test.make ~name:"fig8: DDR2 verification rows"
-        (Staged.stage (silent (fun () -> ignore (Compare.fig8 ()))));
-      Test.make ~name:"fig9: DDR3 verification rows"
-        (Staged.stage (silent (fun () -> ignore (Compare.fig9 ()))));
-      Test.make ~name:"fig10/table3: one device tornado"
-        (Staged.stage
-           (silent (fun () -> ignore (Sensitivity.run ddr3))));
-      Test.make ~name:"fig11-13: one trend point"
-        (Staged.stage (silent (fun () -> ignore (Trends.point Node.N55))));
-      Test.make ~name:"section5: scheme evaluation"
-        (Staged.stage
-           (silent (fun () ->
-                ignore
-                  (Vdram_schemes.Evaluate.run Devices.ddr3_2g
-                     Vdram_schemes.Scheme.low_voltage))));
-      Test.make ~name:"section5_sim: 500-request simulation"
-        (Staged.stage
-           (silent (fun () -> ignore (Vdram_sim.Controller.run ddr3 trace))));
-      Test.make ~name:"core: one pattern power evaluation"
-        (Staged.stage
-           (silent (fun () ->
-                ignore
-                  (Model.pattern_power ddr3
-                     (Pattern.idd7_mixed ddr3.Config.spec)))));
-      Test.make ~name:"ablations: one design sweep"
-        (Staged.stage
-           (silent (fun () ->
-                ignore
-                  (Vdram_analysis.Ablation.bitline_style ~node:Node.N55 ()))));
-      Test.make ~name:"architectures: standby comparison"
-        (Staged.stage
-           (silent (fun () ->
-                ignore
-                  (Vdram_configs.Variants.standby_comparison
-                     [ Devices.ddr3_2g ]))));
-      Test.make ~name:"dsl: parse + elaborate a description"
-        (Staged.stage
-           (silent (fun () ->
-                match Vdram_dsl.Elaborate.load_string dsl_source with
-                | Ok _ -> ()
-                | Error _ -> assert false)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"vdram" tests in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0
-         ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  header "Bechamel: time per regeneration";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-        Printf.printf "  %-45s %12.1f us/run\n" name (ns /. 1e3)
-      | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-    (List.sort compare rows)
-
 let () =
   table1 ();
   table2 ();
@@ -537,5 +439,4 @@ let () =
   ablations ();
   architectures ();
   system_view ();
-  bechamel_suite ();
   print_newline ()

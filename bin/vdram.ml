@@ -207,30 +207,43 @@ let install_interrupt ~command supervisor fail_log =
            (Vdram_engine.Supervise.counters sup));
       exit (128 + Vdram_serve.Signals.os_number signum))
 
-let run_supervised ~command ~timings ~engine ~supervisor ~fail_log body =
+(* The flags of every batched command: [--jobs], [--timings] and the
+   supervision flags. *)
+let batch_term =
+  Term.(
+    const (fun mk_engine timings sup -> (mk_engine, timings, sup))
+    $ engine_term $ timings_arg $ supervise_flags)
+
+(* Run [body engine supervisor] under the batch flags' engine and
+   supervisor, and pick the exit code from its failures. *)
+let run_supervised ~command (mk_engine, timings, sup_flags) body =
   let module S = Vdram_engine.Supervise in
-  install_interrupt ~command supervisor fail_log;
-  match body () with
-  | () ->
-    let failures = finalize ~command timings engine supervisor fail_log in
-    if failures = 0 then `Ok ()
-    else begin
-      Format.eprintf "%s: %d item(s) failed; results are partial%s@." command
-        failures
-        (match fail_log with
-         | Some path -> Printf.sprintf " (failure report: %s)" path
-         | None -> "");
-      exit exit_partial
-    end
-  | exception S.Aborted { failures; tolerated } ->
-    ignore (finalize ~command timings engine supervisor fail_log : int);
-    fail "%s: aborted after %d failure(s) (max tolerated %d)" command failures
-      tolerated
-  | exception e when Option.is_some supervisor ->
-    (* Even a run that dies outside the batch leaves its failure
-       report behind. *)
-    ignore (finalize ~command timings engine supervisor fail_log : int);
-    fail "%s: %s" command (Printexc.to_string e)
+  match build_supervision sup_flags with
+  | Error e -> fail "%s" e
+  | Ok (supervisor, fail_log) ->
+    let engine = mk_engine () in
+    install_interrupt ~command supervisor fail_log;
+    match body engine supervisor with
+    | () ->
+      let failures = finalize ~command timings engine supervisor fail_log in
+      if failures = 0 then `Ok ()
+      else begin
+        Format.eprintf "%s: %d item(s) failed; results are partial%s@." command
+          failures
+          (match fail_log with
+           | Some path -> Printf.sprintf " (failure report: %s)" path
+           | None -> "");
+        exit exit_partial
+      end
+    | exception S.Aborted { failures; tolerated } ->
+      ignore (finalize ~command timings engine supervisor fail_log : int);
+      fail "%s: aborted after %d failure(s) (max tolerated %d)" command failures
+        tolerated
+    | exception e when Option.is_some supervisor ->
+      (* Even a run that dies outside the batch leaves its failure
+         report behind. *)
+      ignore (finalize ~command timings engine supervisor fail_log : int);
+      fail "%s: %s" command (Printexc.to_string e)
 
 (* Bad values on the command line exit 2, the code lint uses for
    errors, before anything is printed to stdout. *)
@@ -263,21 +276,6 @@ let device_pattern ?file spec pattern =
   match Protocol.resolve_pattern config stored pattern with
   | Ok p -> (config, p)
   | Error e -> usage_error "%s" e
-
-(* The [--format json] document of lint, check and advise: totals over
-   every report, one entry per file. *)
-let json_document reports files =
-  let total count = List.fold_left (fun a r -> a + count r) 0 reports in
-  let int n = Json.Num (float_of_int n) in
-  Json.to_string
-    (Json.Obj
-       [
-         ("version", int 1);
-         ("errors", int (total Vdram_lint.Lint.errors));
-         ("warnings", int (total Vdram_lint.Lint.warnings));
-         ("files", Json.List files);
-       ])
-  ^ "\n"
 
 (* ----- power ------------------------------------------------------- *)
 
@@ -325,66 +323,49 @@ let sensitivity_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Entries to print.")
   in
-  let run file spec top pattern mk_engine timings sup_flags =
+  let run file spec top pattern batch =
     let config, p = device_pattern ?file spec pattern in
-    match build_supervision sup_flags with
-    | Error e -> fail "%s" e
-    | Ok (supervisor, fail_log) ->
-      let engine = mk_engine () in
-      run_supervised ~command:"sensitivity" ~timings ~engine ~supervisor
-        ~fail_log (fun () ->
-          let s =
-            Vdram_analysis.Sensitivity.run ~engine ?supervisor ~pattern:p
-              config
-          in
-          Vdram_serve.Render.sensitivity ~top Format.std_formatter s)
+    run_supervised ~command:"sensitivity" batch (fun engine supervisor ->
+      let s =
+        Vdram_analysis.Sensitivity.run ~engine ?supervisor ~pattern:p
+          config
+      in
+      Vdram_serve.Render.sensitivity ~top Format.std_formatter s)
   in
   let doc = "Rank parameters by power impact (Fig 10 / Table III)." in
   Cmd.v (Cmd.info "sensitivity" ~doc)
     Term.(
-      ret (const run $ file $ node_spec $ top $ pattern_arg $ engine_term
-         $ timings_arg $ supervise_flags))
+      ret (const run $ file $ node_spec $ top $ pattern_arg $ batch_term))
 
 (* ----- trends ------------------------------------------------------ *)
 
 let trends_cmd =
-  let run mk_engine timings sup_flags =
-    match build_supervision sup_flags with
-    | Error e -> fail "%s" e
-    | Ok (supervisor, fail_log) ->
-      let engine = mk_engine () in
-      run_supervised ~command:"trends" ~timings ~engine ~supervisor ~fail_log
-        (fun () ->
-          List.iter
-            (fun p -> Format.printf "%a@." Vdram_analysis.Trends.pp_point p)
-            (Vdram_analysis.Trends.all ~engine ?supervisor ()))
+  let run batch =
+    run_supervised ~command:"trends" batch (fun engine supervisor ->
+      List.iter
+        (fun p -> Format.printf "%a@." Vdram_analysis.Trends.pp_point p)
+        (Vdram_analysis.Trends.all ~engine ?supervisor ()))
   in
   let doc = "DRAM roadmap trends (Figs 11-13)." in
   Cmd.v (Cmd.info "trends" ~doc)
-    Term.(ret (const run $ engine_term $ timings_arg $ supervise_flags))
+    Term.(ret (const run $ batch_term))
 
 (* ----- schemes ----------------------------------------------------- *)
 
 let schemes_cmd =
-  let run file spec mk_engine timings sup_flags =
+  let run file spec batch =
     let config, _ = device ?file spec in
-    match build_supervision sup_flags with
-    | Error e -> fail "%s" e
-    | Ok (supervisor, fail_log) ->
-      let engine = mk_engine () in
-      run_supervised ~command:"schemes" ~timings ~engine ~supervisor ~fail_log
-        (fun () ->
-          let results =
-            Vdram_schemes.Evaluate.run_all ~engine ?supervisor config
-          in
-          Format.printf "baseline: %s@.@.%a@." config.Config.name
-            Vdram_schemes.Evaluate.pp_table results)
+    run_supervised ~command:"schemes" batch (fun engine supervisor ->
+      let results =
+        Vdram_schemes.Evaluate.run_all ~engine ?supervisor config
+      in
+      Format.printf "baseline: %s@.@.%a@." config.Config.name
+        Vdram_schemes.Evaluate.pp_table results)
   in
   let doc = "Evaluate the Section V power-reduction schemes." in
   Cmd.v (Cmd.info "schemes" ~doc)
     Term.(
-      ret (const run $ file $ node_spec $ engine_term $ timings_arg
-         $ supervise_flags))
+      ret (const run $ file $ node_spec $ batch_term))
 
 (* ----- simulate ---------------------------------------------------- *)
 
@@ -476,30 +457,37 @@ let validate_cmd =
   let doc = "Check a description for semantic consistency." in
   Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const run $ file $ node_spec))
 
-(* ----- lint --------------------------------------------------------- *)
+(* ----- lint, check and advise ---------------------------------------- *)
 
-let lint_cmd =
-  let module Lint = Vdram_lint.Lint in
-  let module Code = Vdram_diagnostics.Code in
-  let module Suggest = Vdram_diagnostics.Suggest in
-  let files =
+(* The three static analyses share one front end: the flags, reading
+   each FILE (or standard input for -), the --allow filter, the fix
+   loop, the three renderers and the exit-code contract (0 clean, 1
+   warnings remaining under --deny-warnings, 2 errors).  Each command
+   brings only its analysis and its own flags. *)
+
+module Lint = Vdram_lint.Lint
+
+type flags = {
+  format : [ `Text | `Json | `Sarif ];
+  deny : bool;
+  allow : string list;
+  fix : bool;  (** --fix or --fix-only *)
+  dry_run : bool;
+  only : string option;
+}
+
+let analysis_files ~required =
+  (if required then Arg.non_empty else Arg.value)
     Arg.(
-      value
-      & pos_all string []
+      pos_all string []
       & info [] ~docv:"FILE"
           ~doc:"DRAM description files (.dram); $(b,-) reads standard \
                 input.")
-  in
-  let explain =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explain" ] ~docv:"CODE"
-          ~doc:"Print the documentation-inventory entry for one \
-                diagnostic code (severity, title, band, rationale, \
-                example), e.g. $(b,--explain V1002), and exit.  No \
-                files are linted.")
-  in
+
+(* The help quotes [allow_example], a warning code the command reports,
+   and [fix_example], a code that carries fix-its; without one there
+   are no fix flags. *)
+let analysis_flags ~allow_example ~fix_example =
   let format =
     Arg.(
       value
@@ -520,15 +508,18 @@ let lint_cmd =
       value
       & opt_all string []
       & info [ "allow" ] ~docv:"CODE"
-          ~doc:"Suppress a warning code, e.g. $(b,--allow V0304). \
-                Repeatable.  Errors cannot be suppressed.")
+          ~doc:
+            (Printf.sprintf
+               "Suppress a warning code, e.g. $(b,--allow %s).  \
+                Repeatable.  Errors cannot be suppressed."
+               allow_example))
   in
   let fix =
     Arg.(
       value & flag
       & info [ "fix" ]
-          ~doc:"Apply the structured fix-its to the files in place \
-                (non-overlapping edits only) and lint the result.")
+          ~doc:"Apply the fix-its to the files in place (non-overlapping \
+                edits only) and analyse the result again.")
   in
   let dry_run =
     Arg.(
@@ -537,18 +528,153 @@ let lint_cmd =
           ~doc:"With $(b,--fix): print a unified diff of the edits to \
                 standard output instead of rewriting the files.")
   in
-  let fix_only =
+  let fix_only example =
     Arg.(
       value
       & opt (some string) None
       & info [ "fix-only" ] ~docv:"CODE"
-          ~doc:"Like $(b,--fix), but apply only the fix-its attached \
-                to one diagnostic code, e.g. $(b,--fix-only V0101), \
-                leaving every other edit alone.  Composes with \
-                $(b,--dry-run).")
+          ~doc:
+            (Printf.sprintf
+               "Like $(b,--fix), but apply only the fix-its attached to \
+                one diagnostic code, e.g. $(b,--fix-only %s), leaving \
+                every other edit alone.  Composes with $(b,--dry-run)."
+               example))
   in
-  let run files explain format deny allow fix dry_run only =
-    let fixing = fix || only <> None in
+  let fixing =
+    match fix_example with
+    | Some example ->
+      Term.(
+        const (fun f d o -> (f, d, o)) $ fix $ dry_run $ fix_only example)
+    | None -> Term.const (false, false, None)
+  in
+  Term.(
+    const (fun format deny allow (fix, dry_run, only) ->
+        { format; deny; allow; fix = fix || only <> None; dry_run; only })
+    $ format $ deny_warnings $ allow $ fixing)
+
+(* What a command plugs into [analyse]: its run over one source, which
+   yields the findings and the command's own result (none when the
+   file could not be read), its JSON entry and its text block. *)
+type 'a analysis = {
+  inventory : string;  (** the document listing the codes *)
+  run : ?file:string -> string -> Lint.report * 'a option;
+  json : Lint.report -> 'a option -> Json.t;
+  text : Format.formatter -> string -> Lint.report * 'a option -> unit;
+}
+
+let report_name (r : Lint.report) = Option.value ~default:"<stdin>" r.Lint.file
+
+(* The findings of one file and their count line; [clean] replaces
+   both when there are none. *)
+let pp_findings ?clean ppf name (r : Lint.report) =
+  match clean with
+  | Some word when r.Lint.diagnostics = [] ->
+    Format.fprintf ppf "%s: %s@." name word
+  | _ ->
+    Format.fprintf ppf "%a%s: %d error(s), %d warning(s)@." Lint.pp_text r
+      name (Lint.errors r) (Lint.warnings r)
+
+(* The [--format json] document: totals over every report, one entry
+   per file. *)
+let json_document reports files =
+  let total count = List.fold_left (fun a r -> a + count r) 0 reports in
+  let int n = Json.Num (float_of_int n) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", int 1);
+         ("errors", int (total Lint.errors));
+         ("warnings", int (total Lint.warnings));
+         ("files", Json.List files);
+       ])
+  ^ "\n"
+
+(* Findings are rendered on [ppf]; [finish] runs after them and before
+   the exit code is decided. *)
+let analyse ?(ppf = Format.std_formatter) ?(finish = ignore) a flags files =
+  match
+    List.find_opt
+      (fun c -> not (Vdram_diagnostics.Code.is_known c))
+      (flags.allow @ Option.to_list flags.only)
+  with
+  | Some c -> fail "unknown lint code %S (%s lists the inventory)" c a.inventory
+  | None ->
+    if flags.dry_run && not flags.fix then
+      fail "--dry-run only makes sense with --fix or --fix-only"
+    else if flags.fix && (not flags.dry_run) && List.mem "-" files then
+      fail "--fix cannot rewrite standard input (try --dry-run)"
+    else begin
+      let run ?file source =
+        let r, x = a.run ?file source in
+        (Lint.suppress ~codes:flags.allow r, x)
+      in
+      let read f =
+        if f = "-" then run (In_channel.input_all In_channel.stdin)
+        else
+          match Lint.read_file f with
+          | Ok source -> run ~file:f source
+          | Error r -> (r, None)
+      in
+      let only = flags.only in
+      let fix_file (f, ((r, _) as result)) =
+        if flags.dry_run then begin
+          (match Lint.preview_fixes ?only r with
+           | None -> ()
+           | Some (diff, applied) ->
+             Printf.eprintf "%s: %d fix(es) available (dry run)\n%!" f applied;
+             print_string diff);
+          (f, result)
+        end
+        else
+          let fixed, applied = Lint.apply_fixes ?only r in
+          if applied = 0 then (f, result)
+          else begin
+            Out_channel.with_open_text f (fun oc ->
+                Out_channel.output_string oc fixed);
+            Printf.eprintf "%s: applied %d fix(es)\n%!" f applied;
+            (f, run ~file:f fixed)
+          end
+      in
+      let results = List.map (fun f -> (f, read f)) files in
+      let results = if flags.fix then List.map fix_file results else results in
+      let reports = List.map (fun (_, (r, _)) -> r) results in
+      (match flags.format with
+       | `Sarif -> Format.fprintf ppf "%s" (Lint.to_sarif reports)
+       | `Json ->
+         Format.fprintf ppf "%s"
+           (json_document reports
+              (List.map (fun (_, (r, x)) -> a.json r x) results))
+       | `Text -> List.iter (fun (f, result) -> a.text ppf f result) results);
+      Format.pp_print_flush ppf ();
+      finish results;
+      match Lint.exit_code ~deny_warnings:flags.deny reports with
+      | 0 -> `Ok ()
+      | n -> exit n
+    end
+
+let lint_cmd =
+  let module Code = Vdram_diagnostics.Code in
+  let explain =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "explain" ] ~docv:"CODE"
+          ~doc:"Print the documentation-inventory entry for one \
+                diagnostic code (severity, title, band, rationale, \
+                example), e.g. $(b,--explain V1002), and exit.  No \
+                files are linted.")
+  in
+  let lint =
+    {
+      inventory = "doc/DSL.md";
+      run = (fun ?file source -> (Lint.run ?file source, None));
+      json = (fun r _ -> Lint.json r);
+      text =
+        (fun ppf _ (r, _) ->
+          pp_findings ~clean:"clean" ppf (report_name r) r);
+    }
+  in
+  let run files explain flags =
     match explain with
     | Some code ->
       (match Code.find code with
@@ -556,87 +682,15 @@ let lint_cmd =
          Format.printf "%a@." Code.explain i;
          `Ok ()
        | None ->
-         let hint =
-           match
-             Suggest.nearest
-               ~candidates:(List.map (fun i -> i.Code.code) Code.all)
-               code
-           with
-           | Some near -> Printf.sprintf " (did you mean %s?)" near
-           | None -> ""
-         in
-         fail "unknown lint code %S%s (doc/DSL.md lists the inventory)"
-           code hint)
-    | None ->
-    match
-      List.find_opt (fun c -> not (Code.is_known c))
-        (allow @ Option.to_list only)
-    with
-    | Some c ->
-      fail "unknown lint code %S (doc/DSL.md lists the inventory)" c
+         Vdram_diagnostics.Suggest.nearest
+           ~candidates:(List.map (fun i -> i.Code.code) Code.all)
+           code
+         |> Option.fold ~none:"" ~some:(Printf.sprintf " (did you mean %s?)")
+         |> fail "unknown lint code %S%s (doc/DSL.md lists the inventory)" code)
     | None ->
       if files = [] then
         fail "no FILE given (pass description files, or --explain CODE)"
-      else if dry_run && not fixing then
-        fail "--dry-run only makes sense with --fix or --fix-only"
-      else if fixing && (not dry_run) && List.mem "-" files then
-        fail "--fix cannot rewrite standard input (try --dry-run)"
-      else begin
-        let lint_one f =
-          if f = "-" then Lint.run (In_channel.input_all In_channel.stdin)
-          else Lint.run_file f
-        in
-        let reports =
-          List.map (fun f -> (f, Lint.suppress ~codes:allow (lint_one f)))
-            files
-        in
-        let reports =
-          if not fixing then List.map snd reports
-          else if dry_run then
-            List.map
-              (fun (f, r) ->
-                (match Lint.preview_fixes ?only r with
-                 | None -> ()
-                 | Some (diff, applied) ->
-                   Printf.eprintf "%s: %d fix(es) available (dry run)\n%!"
-                     f applied;
-                   print_string diff);
-                r)
-              reports
-          else
-            List.map
-              (fun (f, r) ->
-                let fixed, applied = Lint.apply_fixes ?only r in
-                if applied = 0 then r
-                else begin
-                  Out_channel.with_open_text f (fun oc ->
-                      Out_channel.output_string oc fixed);
-                  Printf.eprintf "%s: applied %d fix(es)\n%!" f applied;
-                  Lint.suppress ~codes:allow (Lint.run ~file:f fixed)
-                end)
-              reports
-        in
-        (match format with
-         | `Sarif -> print_string (Lint.to_sarif reports)
-         | `Json ->
-           print_string (json_document reports (List.map Lint.json reports))
-         | `Text ->
-           List.iter
-             (fun (r : Lint.report) ->
-               let name = Option.value ~default:"<stdin>" r.Lint.file in
-               if r.Lint.diagnostics = [] then
-                 Format.printf "%s: clean@." name
-               else begin
-                 Format.printf "%a" Lint.pp_text r;
-                 Format.printf "%s: %d error(s), %d warning(s)@." name
-                   (Lint.errors r) (Lint.warnings r)
-               end)
-             reports);
-        (* Exit-code contract: 0 clean, 1 warnings denied, 2 errors. *)
-        match Lint.exit_code ~deny_warnings:deny reports with
-        | 0 -> `Ok ()
-        | n -> exit n
-      end
+      else analyse lint flags files
   in
   let doc =
     "Statically analyse descriptions: syntax, dimensional analysis, \
@@ -649,29 +703,19 @@ let lint_cmd =
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
       ret
-        (const run $ files $ explain $ format $ deny_warnings $ allow $ fix
-       $ dry_run $ fix_only))
-
-(* ----- check -------------------------------------------------------- *)
+        (const run
+        $ analysis_files ~required:false
+        $ explain
+        $ analysis_flags ~allow_example:"V0304" ~fix_example:(Some "V0101")))
 
 let check_cmd =
-  let module Lint = Vdram_lint.Lint in
   let module Check = Vdram_lint.Check in
-  let module Code = Vdram_diagnostics.Code in
   let module Lenses = Vdram_analysis.Lenses in
   let module Abox = Vdram_absint.Abox in
   let module Bounds = Vdram_absint.Bounds in
   let module Monotone = Vdram_absint.Monotone in
   let module Certificate = Vdram_absint.Certificate in
   let module I = Vdram_units.Interval in
-  let files =
-    Arg.(
-      non_empty
-      & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:"DRAM description files (.dram); $(b,-) reads standard \
-                input.")
-  in
   let certify =
     Arg.(
       value & flag
@@ -733,30 +777,8 @@ let check_cmd =
       value & opt int 0x5eed
       & info [ "seed" ] ~docv:"N" ~doc:"Seed for the sampling stream.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format for the findings: $(b,text), $(b,json) or \
-                $(b,sarif) (SARIF 2.1.0).")
-  in
-  let deny_warnings =
-    Arg.(
-      value & flag
-      & info [ "deny-warnings" ]
-          ~doc:"Exit non-zero when warnings remain (after $(b,--allow)).")
-  in
-  let allow =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "allow" ] ~docv:"CODE"
-          ~doc:"Suppress a warning code, e.g. $(b,--allow V0902). \
-                Repeatable.  Errors cannot be suppressed.")
-  in
-  let parse_axis spec =
+  (* NAME or NAME=LO:HI; a bad spec exits 2. *)
+  let axis spec =
     let name, range =
       match String.index_opt spec '=' with
       | None -> (spec, None)
@@ -764,23 +786,18 @@ let check_cmd =
         ( String.sub spec 0 i,
           Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
     in
-    match Lenses.find (String.trim name) with
-    | None -> Error (Printf.sprintf "unknown lens %S" (String.trim name))
-    | Some lens ->
-      (match range with
-       | None -> Ok (Abox.default_axis lens)
-       | Some r ->
-         (match String.split_on_char ':' r with
-          | [ lo; hi ] ->
-            (match (float_of_string_opt lo, float_of_string_opt hi) with
-             | Some lo, Some hi
-               when Float.is_finite lo && Float.is_finite hi && lo > 0.0
-                    && lo <= hi ->
-               Ok (Abox.axis lens ~lo ~hi)
-             | _ ->
-               Error
-                 (Printf.sprintf "bad range %S (want finite 0 < LO <= HI)" r))
-          | _ -> Error (Printf.sprintf "bad range %S (want LO:HI)" r)))
+    let name = String.trim name in
+    match (Lenses.find name, range) with
+    | None, _ -> usage_error "unknown lens %S" name
+    | Some lens, None -> Abox.default_axis lens
+    | Some lens, Some r ->
+      (match List.map float_of_string_opt (String.split_on_char ':' r) with
+       | [ Some lo; Some hi ]
+         when Float.is_finite lo && Float.is_finite hi && lo > 0.0 && lo <= hi
+         ->
+         Abox.axis lens ~lo ~hi
+       | [ _; _ ] -> usage_error "bad range %S (want finite 0 < LO <= HI)" r
+       | _ -> usage_error "bad range %S (want LO:HI)" r)
   in
   let pp_interval ppf (i : I.t) =
     Format.fprintf ppf "[%.4g, %.4g]" i.I.lo i.I.hi
@@ -797,36 +814,25 @@ let check_cmd =
          (e.I.lo *. 1e12) (e.I.hi *. 1e12)
      | None -> ());
     let certified =
-      List.filter
-        (fun (m : Monotone.certificate) -> m.Monotone.direction <> None)
+      List.filter_map
+        (fun (m : Monotone.certificate) ->
+          Option.map
+            (fun d -> m.Monotone.lens ^ " " ^ Monotone.direction_name d)
+            m.Monotone.direction)
         c.Certificate.monotonicity
     in
-    Format.fprintf ppf "  monotone    %d/%d axes certified"
+    Format.fprintf ppf "  monotone    %d/%d axes certified%s@."
       (List.length certified)
-      (List.length c.Certificate.monotonicity);
-    (match certified with
-     | [] -> Format.fprintf ppf "@."
-     | _ ->
-       Format.fprintf ppf ": %s@."
-         (String.concat ", "
-            (List.map
-               (fun (m : Monotone.certificate) ->
-                 Printf.sprintf "%s %s" m.Monotone.lens
-                   (match m.Monotone.direction with
-                    | Some d -> Monotone.direction_name d
-                    | None -> "?"))
-               certified)));
+      (List.length c.Certificate.monotonicity)
+      (if certified = [] then "" else ": " ^ String.concat ", " certified);
     (match c.Certificate.sweep with
      | None -> ()
      | Some s ->
-       let legal =
-         List.length
-           (List.filter
-              (fun (e : Certificate.sweep_entry) -> e.Certificate.legal)
-              s.Certificate.entries)
-       in
        Format.fprintf ppf "  sweep       legal at %d/%d roadmap generations@."
-         legal
+         (List.length
+            (List.filter
+               (fun (e : Certificate.sweep_entry) -> e.Certificate.legal)
+               s.Certificate.entries))
          (List.length s.Certificate.entries));
     match c.Certificate.samples with
     | None -> ()
@@ -836,101 +842,69 @@ let check_cmd =
          else "OUTSIDE THE BOUNDS (unsound!)")
   in
   let run files certify out lens_specs all_lenses splits cells samples seed
-      format deny allow =
+      flags =
     Result.iter_error (usage_error "%s")
       (Check.validate ~splits ~max_cells:cells ~samples);
-    match List.find_opt (fun c -> not (Code.is_known c)) allow with
-    | Some c ->
-      fail "unknown lint code %S (doc/CHECK.md lists the inventory)" c
-    | None ->
-      let axes =
-        if lens_specs <> [] then
-          let rec collect acc = function
-            | [] -> Ok (List.rev acc)
-            | s :: rest ->
-              (match parse_axis s with
-               | Ok a -> collect (a :: acc) rest
-               | Error e -> Error e)
-          in
-          collect [] lens_specs
-        else if all_lenses then
-          Ok (List.map Abox.default_axis Lenses.all)
-        else Ok (Check.default_axes ())
-      in
-      (match axes with
-       | Error e -> usage_error "%s" e
-       | Ok axes ->
-         let check_one f =
-           let r =
-             if f = "-" then
-               Check.run ~axes ~splits ~max_cells:cells ~samples ~seed
-                 (In_channel.input_all In_channel.stdin)
-             else
-               Check.run_file ~axes ~splits ~max_cells:cells ~samples ~seed
-                 f
-           in
-           { r with
-             Check.report = Lint.suppress ~codes:allow r.Check.report }
-         in
-         let results = List.map (fun f -> (f, check_one f)) files in
-         let reports = List.map (fun (_, r) -> r.Check.report) results in
-         (* With --certify and no --out the certificate owns stdout, so
-            findings go to stderr to keep the payload machine-parseable. *)
-         let ppf =
-           if certify && out = None then Format.err_formatter
-           else Format.std_formatter
-         in
-         (match format with
-          | `Sarif -> Format.fprintf ppf "%s" (Lint.to_sarif reports)
-          | `Json ->
-            Format.fprintf ppf "%s"
-              (json_document reports (List.map Lint.json reports))
-          | `Text ->
-            List.iter
-              (fun (f, r) ->
-                (match r.Check.certificate with
-                 | Some c ->
-                   Format.fprintf ppf "%s:@." f;
-                   summary ppf c
-                 | None -> ());
-                Format.fprintf ppf "%a" Lint.pp_text r.Check.report;
-                let rep = r.Check.report in
-                Format.fprintf ppf "%s: %d error(s), %d warning(s)@." f
-                  (Lint.errors rep) (Lint.warnings rep))
-              results);
-         Format.pp_print_flush ppf ();
-         if certify then begin
-           let jsons =
-             List.filter_map
-               (fun (_, r) ->
-                 Option.map Certificate.to_json r.Check.certificate)
-               results
-           in
-           let payload = String.concat "\n" jsons ^ "\n" in
-           match out with
-           | Some path ->
-             Out_channel.with_open_text path (fun oc ->
-                 Out_channel.output_string oc payload)
-           | None -> print_string payload
-         end;
-         (* A concrete sample outside its certified bounds means the
-            interval evaluator is unsound: an error, whatever the
-            findings. *)
-         List.iter
-           (fun (f, r) ->
-             match r.Check.certificate with
-             | Some { Certificate.samples = Some { contained = false; _ }; _ }
-               ->
-               usage_error "%s: a concrete sample lies outside the certified \
-                            bounds" f
-             | _ -> ())
-           results;
-         (match Lint.exit_code ~deny_warnings:deny reports with
-          | 0 ->
-            if List.exists (fun (_, r) -> r.Check.certificate = None) results
-            then exit 2
-            else `Ok ()
-          | n -> exit n))
+    if out <> None && not certify then
+      usage_error "--out only makes sense with --certify";
+    let axes =
+      if lens_specs <> [] then List.map axis lens_specs
+      else if all_lenses then List.map Abox.default_axis Lenses.all
+      else Check.default_axes ()
+    in
+    let check =
+      {
+        inventory = "doc/CHECK.md";
+        run =
+          (fun ?file source ->
+            let c =
+              Check.run ~axes ~splits ~max_cells:cells ~samples ~seed ?file
+                source
+            in
+            (c.Check.report, c.Check.certificate));
+        json = (fun r _ -> Lint.json r);
+        text =
+          (fun ppf f (r, certificate) ->
+            Option.iter
+              (fun c -> Format.fprintf ppf "%s:@.%a" f summary c)
+              certificate;
+            pp_findings ppf f r);
+      }
+    in
+    let finish results =
+      if certify then begin
+        let payload =
+          String.concat "\n"
+            (List.filter_map
+               (fun (_, (_, c)) -> Option.map Certificate.to_json c)
+               results)
+          ^ "\n"
+        in
+        match out with
+        | Some path ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc payload)
+        | None -> print_string payload
+      end;
+      (* A concrete sample outside its certified bounds means the
+         interval evaluator is unsound: an error, whatever the
+         findings. *)
+      List.iter
+        (fun (f, (_, c)) ->
+          match c with
+          | Some { Certificate.samples = Some { contained = false; _ }; _ } ->
+            usage_error "%s: a concrete sample lies outside the certified \
+                         bounds" f
+          | _ -> ())
+        results
+    in
+    (* With --certify and no --out the certificate owns stdout, so
+       findings go to stderr to keep the payload machine-parseable. *)
+    let ppf =
+      if certify && out = None then Format.err_formatter
+      else Format.std_formatter
+    in
+    analyse ~ppf ~finish check flags files
   in
   let doc =
     "Abstract interpretation over a configuration box: guaranteed \
@@ -943,167 +917,42 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       ret
-        (const run $ files $ certify $ out $ lens_specs $ all_lenses
-       $ splits $ cells $ samples $ seed $ format $ deny_warnings $ allow))
-
-(* ----- advise ------------------------------------------------------- *)
+        (const run
+        $ analysis_files ~required:true
+        $ certify $ out $ lens_specs $ all_lenses $ splits $ cells $ samples
+        $ seed
+        $ analysis_flags ~allow_example:"V0902" ~fix_example:None))
 
 let advise_cmd =
-  let module Lint = Vdram_lint.Lint in
   let module Advise = Vdram_lint.Advise in
-  let module Code = Vdram_diagnostics.Code in
-  let files =
-    Arg.(
-      non_empty
-      & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:"DRAM description files (.dram); $(b,-) reads standard \
-                input.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) (dataflow summary plus \
-                compiler-style findings), $(b,json) (findings with an \
-                $(b,advise) member carrying the summary) or $(b,sarif) \
-                (SARIF 2.1.0).")
-  in
   let waste_threshold =
     Arg.(
       value
       & opt float 0.10
       & info [ "waste-threshold" ] ~docv:"FRACTION"
           ~doc:"Actual-vs-floor energy fraction above which $(b,V1004) \
-                fires (default 0.10).")
+                fires (default 0.10); at least 0 and below 1.")
   in
-  let deny_warnings =
-    Arg.(
-      value & flag
-      & info [ "deny-warnings" ]
-          ~doc:"Exit non-zero when warnings remain (after $(b,--allow)).")
-  in
-  let allow =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "allow" ] ~docv:"CODE"
-          ~doc:"Suppress a warning code, e.g. $(b,--allow V1003). \
-                Repeatable.  Errors cannot be suppressed.")
-  in
-  let fix =
-    Arg.(
-      value & flag
-      & info [ "fix" ]
-          ~doc:"Apply the verified rewrite fix-its to the files in \
-                place (non-overlapping edits only) and re-advise the \
-                result.")
-  in
-  let dry_run =
-    Arg.(
-      value & flag
-      & info [ "dry-run" ]
-          ~doc:"With $(b,--fix): print a unified diff of the edits to \
-                standard output instead of rewriting the files.")
-  in
-  let fix_only =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fix-only" ] ~docv:"CODE"
-          ~doc:"Like $(b,--fix), but apply only the fix-its attached \
-                to one diagnostic code, e.g. $(b,--fix-only V1001).  \
-                Composes with $(b,--dry-run).")
-  in
-  let run files format waste_threshold deny allow fix dry_run only =
-    let fixing = fix || only <> None in
-    match
-      List.find_opt (fun c -> not (Code.is_known c))
-        (allow @ Option.to_list only)
-    with
-    | Some c ->
-      fail "unknown lint code %S (doc/ADVISE.md lists the inventory)" c
-    | None ->
-      if dry_run && not fixing then
-        fail "--dry-run only makes sense with --fix or --fix-only"
-      else if fixing && (not dry_run) && List.mem "-" files then
-        fail "--fix cannot rewrite standard input (try --dry-run)"
-      else begin
-        let advise_one f =
-          let a =
-            if f = "-" then
-              Advise.run ~waste_threshold
-                (In_channel.input_all In_channel.stdin)
-            else Advise.run_file ~waste_threshold f
-          in
-          { a with
-            Advise.report = Lint.suppress ~codes:allow a.Advise.report }
-        in
-        let results = List.map (fun f -> (f, advise_one f)) files in
-        let results =
-          if not fixing then results
-          else if dry_run then
-            List.map
-              (fun (f, a) ->
-                (match Lint.preview_fixes ?only a.Advise.report with
-                 | None -> ()
-                 | Some (diff, applied) ->
-                   Printf.eprintf "%s: %d fix(es) available (dry run)\n%!"
-                     f applied;
-                   print_string diff);
-                (f, a))
-              results
-          else
-            List.map
-              (fun (f, a) ->
-                let fixed, applied = Lint.apply_fixes ?only a.Advise.report in
-                if applied = 0 then (f, a)
-                else begin
-                  Out_channel.with_open_text f (fun oc ->
-                      Out_channel.output_string oc fixed);
-                  Printf.eprintf "%s: applied %d fix(es)\n%!" f applied;
-                  let a = Advise.run ~waste_threshold ~file:f fixed in
-                  ( f,
-                    { a with
-                      Advise.report =
-                        Lint.suppress ~codes:allow a.Advise.report } )
-                end)
-              results
-        in
-        let reports = List.map (fun (_, a) -> a.Advise.report) results in
-        (match format with
-         | `Sarif -> print_string (Lint.to_sarif reports)
-         | `Json ->
-           print_string
-             (json_document reports
-                (List.map (fun (_, a) -> Advise.json a) results))
-         | `Text ->
-           List.iter
-             (fun (f, (a : Advise.t)) ->
-               let name =
-                 Option.value ~default:"<stdin>" a.Advise.report.Lint.file
-               in
-               ignore f;
-               (match a.Advise.summary with
-                | Some s ->
-                  Format.printf "%s:@.%a@." name Advise.pp_summary s
-                | None -> ());
-               if a.Advise.report.Lint.diagnostics = [] then
-                 Format.printf "%s: no advice@." name
-               else begin
-                 Format.printf "%a" Lint.pp_text a.Advise.report;
-                 Format.printf "%s: %d error(s), %d warning(s)@." name
-                   (Lint.errors a.Advise.report)
-                   (Lint.warnings a.Advise.report)
-               end)
-             results);
-        (* Exit-code contract: 0 clean, 1 warnings denied, 2 errors. *)
-        match Lint.exit_code ~deny_warnings:deny reports with
-        | 0 -> `Ok ()
-        | n -> exit n
-      end
+  let run files waste_threshold flags =
+    Result.iter_error (usage_error "%s") (Advise.validate ~waste_threshold);
+    let advise =
+      {
+        inventory = "doc/ADVISE.md";
+        run =
+          (fun ?file source ->
+            let a = Advise.run ~waste_threshold ?file source in
+            (a.Advise.report, a.Advise.summary));
+        json = (fun report summary -> Advise.json { Advise.report; summary });
+        text =
+          (fun ppf _ (r, summary) ->
+            let name = report_name r in
+            Option.iter
+              (Format.fprintf ppf "%s:@.%a@." name Advise.pp_summary)
+              summary;
+            pp_findings ~clean:"no advice" ppf name r);
+      }
+    in
+    analyse advise flags files
   in
   let doc =
     "Static dataflow analysis of the pattern loop, without a \
@@ -1112,15 +961,18 @@ let advise_cmd =
      locality, a power-down-eligible idle-window inventory, and the \
      loop's distance from a certified static energy floor (V10xx).  \
      Every proposed rewrite is replayed across all fourteen roadmap \
-     generations and re-priced before it is offered.  Exits 0 when \
-     clean, 1 when warnings remain under $(b,--deny-warnings), 2 on \
-     errors."
+     generations and re-priced before it is offered; $(b,--format \
+     json) carries the dataflow summary as each file's $(b,advise) \
+     member.  Exits 0 when clean, 1 when warnings remain under \
+     $(b,--deny-warnings), 2 on errors."
   in
   Cmd.v (Cmd.info "advise" ~doc)
     Term.(
       ret
-        (const run $ files $ format $ waste_threshold $ deny_warnings
-       $ allow $ fix $ dry_run $ fix_only))
+        (const run
+        $ analysis_files ~required:true
+        $ waste_threshold
+        $ analysis_flags ~allow_example:"V1003" ~fix_example:(Some "V1001")))
 
 (* ----- corners ------------------------------------------------------ *)
 
@@ -1133,29 +985,24 @@ let corners_cmd =
       value & opt float 0.10
       & info [ "spread" ] ~doc:"Half-width of the parameter band (0.10 = +-10%).")
   in
-  let run file spec samples spread pattern mk_engine timings sup_flags =
+  let run file spec samples spread pattern batch =
     Result.iter_error (usage_error "%s")
       (Vdram_analysis.Corners.validate ~samples ~spread);
     let config, p = device_pattern ?file spec pattern in
-    match build_supervision sup_flags with
-    | Error e -> fail "%s" e
-    | Ok (supervisor, fail_log) ->
-      let engine = mk_engine () in
-      run_supervised ~command:"corners" ~timings ~engine ~supervisor ~fail_log
-        (fun () ->
-          let d =
-            Vdram_analysis.Corners.run ~engine ?supervisor ~samples ~spread
-              ~pattern:p config
-          in
-          Vdram_serve.Render.corners ~config_name:config.Config.name
-            ~pattern_name:p.Pattern.name Format.std_formatter d)
+    run_supervised ~command:"corners" batch (fun engine supervisor ->
+      let d =
+        Vdram_analysis.Corners.run ~engine ?supervisor ~samples ~spread
+          ~pattern:p config
+      in
+      Vdram_serve.Render.corners ~config_name:config.Config.name
+        ~pattern_name:p.Pattern.name Format.std_formatter d)
   in
   let doc = "Monte-Carlo parameter spread (the vendor-spread story)." in
   Cmd.v (Cmd.info "corners" ~doc)
     Term.(
       ret
         (const run $ file $ node_spec $ samples $ spread $ pattern_arg
-       $ engine_term $ timings_arg $ supervise_flags))
+       $ batch_term))
 
 (* ----- states ------------------------------------------------------- *)
 
@@ -1197,38 +1044,32 @@ let ablate_cmd =
           `Activation
       & info [ "sweep" ] ~doc:"Which design choice to sweep.")
   in
-  let run node which mk_engine timings sup_flags =
-    match build_supervision sup_flags with
-    | Error e -> fail "%s" e
-    | Ok (supervisor, fail_log) ->
-      let engine = mk_engine () in
-      run_supervised ~command:"ablate" ~timings ~engine ~supervisor ~fail_log
-        (fun () ->
-          let pts =
-            match which with
-            | `Activation ->
-              Vdram_analysis.Ablation.page_size ~engine ?supervisor ~node
-                ~pages:[ 1024; 2048; 4096; 8192; 16384 ] ()
-            | `Bitline ->
-              Vdram_analysis.Ablation.bitline_length ~engine ?supervisor
-                ~node ~bits:[ 256; 512; 1024 ] ()
-            | `Style ->
-              Vdram_analysis.Ablation.bitline_style ~engine ?supervisor ~node
-                ()
-            | `Prefetch ->
-              Vdram_analysis.Ablation.prefetch ~engine ?supervisor ~node
-                ~prefetches:[ 2; 4; 8; 16; 32 ] ()
-            | `Wordline ->
-              Vdram_analysis.Ablation.subarray_height ~engine ?supervisor
-                ~node ~bits:[ 256; 512; 1024 ] ()
-          in
-          Format.printf "%a@?" Vdram_analysis.Ablation.pp pts)
+  let run node which batch =
+    run_supervised ~command:"ablate" batch (fun engine supervisor ->
+      let pts =
+        match which with
+        | `Activation ->
+          Vdram_analysis.Ablation.page_size ~engine ?supervisor ~node
+            ~pages:[ 1024; 2048; 4096; 8192; 16384 ] ()
+        | `Bitline ->
+          Vdram_analysis.Ablation.bitline_length ~engine ?supervisor
+            ~node ~bits:[ 256; 512; 1024 ] ()
+        | `Style ->
+          Vdram_analysis.Ablation.bitline_style ~engine ?supervisor ~node
+            ()
+        | `Prefetch ->
+          Vdram_analysis.Ablation.prefetch ~engine ?supervisor ~node
+            ~prefetches:[ 2; 4; 8; 16; 32 ] ()
+        | `Wordline ->
+          Vdram_analysis.Ablation.subarray_height ~engine ?supervisor
+            ~node ~bits:[ 256; 512; 1024 ] ()
+      in
+      Format.printf "%a@?" Vdram_analysis.Ablation.pp pts)
   in
   let doc = "Sweep one architectural design choice." in
   Cmd.v (Cmd.info "ablate" ~doc)
     Term.(
-      ret (const run $ node $ which $ engine_term $ timings_arg
-         $ supervise_flags))
+      ret (const run $ node $ which $ batch_term))
 
 (* ----- export ------------------------------------------------------- *)
 

@@ -11,12 +11,6 @@ type group = Voltage | Technology | Logic | Interface
 
 val group_name : group -> string
 
-val default_range : group -> float * float
-(** Default certified multiplicative band per lens group, the range
-    [vdram check] certifies when the caller declares no explicit one:
-    (0.9, 1.1) for voltages, (0.85, 1.15) for technology, (0.8, 1.25)
-    for logic aggregates, (0.8, 1.2) for interface loads. *)
-
 type target
 (** Which record of the configuration a lens writes; lets {!scale_all}
     build each record once. *)

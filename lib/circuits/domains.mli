@@ -27,13 +27,10 @@ val v :
   ?eff_int:float -> ?eff_bl:float -> ?eff_pp:float -> ?i_constant:float ->
   vdd:float -> vint:float -> vbl:float -> vpp:float -> unit -> t
 (** Build a domain set.  Efficiencies default to the physical models
-    of {!linear_efficiency} (Vint, Vbl) and {!pump_efficiency} (Vpp);
+    of a linear regulator ([vout /. vdd], capped at 1.0) for Vint and
+    Vbl and of {!pump_efficiency} for Vpp;
     [i_constant] defaults to 3 mA.  Raises [Invalid_argument] on
     non-positive voltages or efficiencies outside (0, 1]. *)
-
-val linear_efficiency : vdd:float -> vout:float -> float
-(** Efficiency of a linear regulator: [vout /. vdd], capped at 1.0
-    (a directly connected rail is lossless). *)
 
 val pump_efficiency : vdd:float -> vout:float -> float
 (** Efficiency of a charge pump with integer multiplication factor

@@ -13,10 +13,6 @@ let sdr_128m =
   Config.commodity ~name:"128M SDR x16 170nm" ~node:Node.N170
     ~density_bits:(mb 128.0) ()
 
-let ddr_256m =
-  Config.commodity ~name:"256M DDR x16 110nm" ~node:Node.N110
-    ~density_bits:(mb 256.0) ()
-
 let ddr2_1g ?(io_width = 16) ?(datarate = 800e6) ~node () =
   Config.commodity
     ~name:
@@ -36,10 +32,6 @@ let ddr3_1g ?(io_width = 16) ?(datarate = 1066e6) ~node () =
 let ddr3_2g =
   Config.commodity ~name:"2G DDR3 x16 55nm" ~node:Node.N55
     ~density_bits:(mb 2048.0) ()
-
-let ddr4_4g =
-  Config.commodity ~name:"4G DDR4 x16 31nm" ~node:Node.N31
-    ~density_bits:(mb 4096.0) ()
 
 let ddr5_16g =
   Config.commodity ~name:"16G DDR5 x16 18nm" ~node:Node.N18

@@ -7,9 +7,6 @@ val mb : float -> float
 val sdr_128m : Vdram_core.Config.t
 (** 128 Mb SDR x16-166 in 170 nm — the old device of Fig 10/Table III. *)
 
-val ddr_256m : Vdram_core.Config.t
-(** 256 Mb DDR x16-400 in 110 nm. *)
-
 val ddr2_1g :
   ?io_width:int -> ?datarate:float -> node:Vdram_tech.Node.t -> unit ->
   Vdram_core.Config.t
@@ -27,9 +24,6 @@ val ddr3_1g :
 val ddr3_2g : Vdram_core.Config.t
 (** 2 Gb DDR3 x16-1333 in 55 nm — the contemporary device of
     Table III. *)
-
-val ddr4_4g : Vdram_core.Config.t
-(** 4 Gb DDR4 x16-2667 in 31 nm. *)
 
 val ddr5_16g : Vdram_core.Config.t
 (** 16 Gb DDR5 x16-5333 in 18 nm — the future device of Fig 10 /

@@ -24,20 +24,17 @@ val rows_per_refresh : Config.t -> float
 (** Rows one refresh command must restore: every bank refreshes one
     row per 8k-row slice of its address space. *)
 
-val refresh_energy : Config.t -> float
-(** Energy of one refresh command: {!rows_per_refresh} row cycles. *)
-
 val refresh_power : Config.t -> float
 (** Average power of distributed refresh: one refresh command
-    ({!refresh_energy}) every [Spec.trefi]. *)
+    ({!rows_per_refresh} row cycles) every [Spec.trefi]. *)
 
 val powerdown_power : Config.t -> float
 (** [state_power cfg Power_down]. *)
 
 val idd5b : Config.t -> float
 (** Burst-refresh current (datasheet Idd5B view): refresh commands
-    back-to-back at [Spec.trfc], i.e. one {!refresh_energy} every
-    tRFC on top of the background, amperes. *)
+    back-to-back at [Spec.trfc], i.e. one refresh command every tRFC
+    on top of the background, amperes. *)
 
 val op_counts : Pattern.t -> (Operation.kind * int) list
 (** Non-zero command counts of one loop iteration, in [Operation.all]
@@ -111,9 +108,6 @@ val extract_delta :
 val extraction_energy : extraction -> Operation.kind -> float
 (** The cached equivalent of {!Operation.energy}, a dense array
     lookup. *)
-
-val background_power_staged : extraction -> Config.t -> float
-(** {!background_power} from a prior extraction. *)
 
 val op_count_vector : Pattern.t -> float array
 (** Dense command counts of one loop iteration, [Operation.index]

@@ -123,16 +123,6 @@ let by_category t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []
   |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
 
-let pp_categories ppf t =
-  Format.fprintf ppf "@[<v>%a" pp_header t;
-  List.iter
-    (fun (c, w) ->
-      Format.fprintf ppf "@,  %-18s %10s  %5.1f%%" (category_name c)
-        (Vdram_units.Si.format_eng ~unit_symbol:"W" w)
-        (100.0 *. w /. t.power))
-    (by_category t);
-  Format.fprintf ppf "@]"
-
 let pp_full ppf t =
   Format.fprintf ppf "@[<v>%a@,background: %s@,loop: %s, %.0f bits%a@]"
     pp_header t

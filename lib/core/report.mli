@@ -49,5 +49,3 @@ val category_of_label : string -> category
 val by_category : t -> (category * float) list
 (** Power per category, descending — the paper's "share of power
     shifting away from the cell array to general logic" view. *)
-
-val pp_categories : Format.formatter -> t -> unit

@@ -23,13 +23,6 @@ type t = {
   trfc : float;            (** refresh cycle time, s *)
 }
 
-val default_trefi : float
-(** JEDEC refresh-command interval at normal temperature, 7.8 us. *)
-
-val default_trfc : density_bits:float -> float
-(** JEDEC refresh cycle time, stepped with device capacity:
-    110 ns up to 1 Gb, 160 ns at 2 Gb, 260 ns at 4 Gb, 350 ns beyond. *)
-
 val v :
   ?clock_wires:int -> ?misc_control:int -> ?tfaw:float ->
   ?trefi:float -> ?trfc:float ->
@@ -40,9 +33,10 @@ val v :
   unit -> t
 (** [data_clock] is set equal to [control_clock]; [clock_wires]
     defaults to 1, [misc_control] to 6 and [tfaw] to [0.8 * trc];
-    [trefi] defaults to {!default_trefi} and [trfc] to
-    {!default_trfc}.  Raises [Invalid_argument] on non-positive
-    counts or rates. *)
+    [trefi] defaults to the JEDEC 7.8 us and [trfc] to the JEDEC
+    refresh cycle time stepped with capacity (110 ns up to 1 Gb,
+    160 ns at 2 Gb, 260 ns at 4 Gb, 350 ns beyond).  Raises
+    [Invalid_argument] on non-positive counts or rates. *)
 
 val bits_per_clock : t -> float
 (** Bits transferred per DQ pin per control clock:

@@ -9,9 +9,6 @@
 
 type test = Idd0 | Idd4r | Idd4w
 
-val test_name : test -> string
-(** ["Idd0"], ["Idd4R"], ["Idd4W"]. *)
-
 type point = {
   test : test;
   datarate_mbps : int;  (** per-pin data rate of the speed grade *)

@@ -8,9 +8,6 @@
     location, and structured {!Fix} edits render as SARIF [fixes]
     with [deletedRegion] / [insertedContent] replacements. *)
 
-val schema_uri : string
-(** The SARIF 2.1.0 JSON-schema URI embedded as [$schema]. *)
-
 val render : (string option * Diagnostic.t list) list -> string
 (** [render reports] serializes per-file diagnostic lists (the file
     name, [None] for stdin, paired with its diagnostics) into one

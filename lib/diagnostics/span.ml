@@ -16,8 +16,6 @@ let of_line ?file line = { file; line; col_start = 0; col_end = 0 }
 let of_cols ?file ~start ~stop line =
   { file; line; col_start = start; col_end = stop }
 
-let with_file file t = { t with file = Some file }
-
 let compare a b =
   (* Spanless findings sort after located ones. *)
   let key t =

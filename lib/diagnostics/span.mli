@@ -23,9 +23,6 @@ val of_cols : ?file:string -> start:int -> stop:int -> int -> t
 (** [of_cols ~start ~stop line] is a column range on [line], [start]
     inclusive to [stop] exclusive. *)
 
-val with_file : string -> t -> t
-(** Attach a file name, keeping line/columns. *)
-
 val compare : t -> t -> int
 (** Source order: by file, line, then column; spanless sorts last. *)
 

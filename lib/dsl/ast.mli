@@ -42,5 +42,4 @@ val arg_span : stmt -> string -> Vdram_diagnostics.Span.t option
 val find_sections : t -> string -> section list
 (** All sections with a name, case-insensitive. *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp : Format.formatter -> t -> unit

@@ -32,8 +32,6 @@
 type stage = Geometry | Extraction | Mix
 
 val stage_name : stage -> string
-val stage_of_name : string -> stage option
-
 type action =
   | Raise of stage           (** raise {!Injected} inside the stage *)
   | Stall of stage * float   (** sleep this many seconds inside it *)

@@ -59,8 +59,6 @@ let block_height t =
   let n = float_of_int t.subarrays_along_bl in
   (n *. subarray_height t) +. ((n +. 1.0) *. t.sa_stripe)
 
-let block_area t = block_width t *. block_height t
-
 let master_wordline_length t = block_width t
 
 let csl_length t = float_of_int t.csl_blocks *. block_height t
@@ -72,18 +70,6 @@ let cells t =
   *. float_of_int t.bits_per_lwl
   *. float_of_int t.subarrays_along_wl
   *. float_of_int t.subarrays_along_bl
-
-let sense_amps t =
-  (* One amplifier per sensed bitline; folded architectures hold the
-     amplifier for a true/complement pair within the same sub-array,
-     open architectures sense pairs from adjacent sub-arrays — either
-     way there is one amplifier per page bit per sub-array row. *)
-  float_of_int (t.subarrays_along_wl * t.bits_per_lwl)
-  *. float_of_int t.subarrays_along_bl
-
-let lwd_count t =
-  float_of_int t.subarrays_along_wl
-  *. float_of_int (t.subarrays_along_bl * t.bits_per_bitline)
 
 let sa_area_share t =
   let n = float_of_int t.subarrays_along_bl in

@@ -63,8 +63,6 @@ val block_height : t -> float
 (** Array-block extent along the bitline direction, including
     sense-amplifier stripes. *)
 
-val block_area : t -> float
-
 val master_wordline_length : t -> float
 (** A master wordline spans the array block's wordline direction. *)
 
@@ -78,14 +76,6 @@ val madl_length : t -> float
 
 val cells : t -> float
 (** Number of cells in the block. *)
-
-val sense_amps : t -> float
-(** Bitline sense-amplifiers in the block (pairs of bitlines for the
-    open style count once; every sensed bitline has an amplifier
-    share). *)
-
-val lwd_count : t -> float
-(** Local wordline drivers in the block. *)
 
 val sa_area_share : t -> float
 (** Share of the block area used by sense-amplifier stripes

@@ -79,8 +79,6 @@ let active_power t ~bitrate =
   in
   switching +. dc
 
-let idle_power _ = 0.0
-
 let energy_per_bit t ~bitrate =
   if bitrate <= 0.0 then invalid_arg "Termination.energy_per_bit: bitrate";
   active_power t ~bitrate /. bitrate

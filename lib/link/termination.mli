@@ -46,12 +46,6 @@ val active_power : t -> bitrate:float -> float
 (** Power of one pin while transferring at [bitrate] (bit/s):
     switching plus the scheme's DC component. *)
 
-val idle_power : t -> float
-(** Power of one pin while the bus is idle (parked): zero for
-    unterminated and POD (parked high), VTT standing current for
-    SSTL-style parked lines is terminated out — modelled as zero —
-    but ODT on a parked SSTL input burns nothing until enabled. *)
-
 val energy_per_bit : t -> bitrate:float -> float
 (** [active_power / bitrate]. *)
 

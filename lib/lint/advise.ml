@@ -26,7 +26,6 @@
    below the original through {!Vdram_sim.Energy_model} — only then
    is the fix attached. *)
 
-module Parser = Vdram_dsl.Parser
 module Elaborate = Vdram_dsl.Elaborate
 module Ast = Vdram_dsl.Ast
 module Config = Vdram_core.Config
@@ -36,7 +35,6 @@ module Model = Vdram_core.Model
 module Timing = Vdram_sim.Timing
 module Legality = Vdram_sim.Legality
 module Energy_model = Vdram_sim.Energy_model
-module Roadmap = Vdram_tech.Roadmap
 module Loop_bound = Vdram_absint.Loop_bound
 module Si = Vdram_units.Si
 module Span = Vdram_diagnostics.Span
@@ -135,34 +133,14 @@ let trace_clean timing ~banks q =
   let issues, _ = Legality.replay_trace timing ~banks q in
   List.for_all (fun (i : Legality.issue) -> i.Legality.violations = []) issues
 
-(* Replay across all fourteen roadmap generations, grouped by bank
-   count and cleared through one {!Timing.worst_case} replay per
-   group when possible (see the `vdram check` sweep for why this is
-   sound); per-generation fallback otherwise. *)
+(* Legal at every roadmap generation, a group's worst case first (see
+   {!Check.roadmap_groups} for why that is sound). *)
 let sweep_legal (p : Pattern.t) =
-  let gens = Roadmap.all in
-  let with_timing =
-    List.map (fun g -> (g, Timing.of_config (Config.of_generation g))) gens
-  in
-  let bank_counts =
-    List.sort_uniq compare (List.map (fun g -> g.Roadmap.banks) gens)
-  in
+  let legal banks t = fst (Legality.replay_pattern t ~banks p) = [] in
   List.for_all
-    (fun banks ->
-      let members =
-        List.filter (fun (g, _) -> g.Roadmap.banks = banks) with_timing
-      in
-      let worst =
-        match members with
-        | (_, t) :: rest ->
-          List.fold_left (fun acc (_, t) -> Timing.worst_case acc t) t rest
-        | [] -> assert false
-      in
-      fst (Legality.replay_pattern worst ~banks p) = []
-      || List.for_all
-           (fun (_, t) -> fst (Legality.replay_pattern t ~banks p) = [])
-           members)
-    bank_counts
+    (fun (banks, worst, members) ->
+      legal banks worst || List.for_all (fun (_, t) -> legal banks t) members)
+    (Check.roadmap_groups ())
 
 (* The verified-fix-it gate: authored-node legality, schedulability
    preserved when the original had it, whole-roadmap legality, and a
@@ -730,42 +708,34 @@ let analyze ~waste_threshold ~ast (cfg : Config.t) (p : Pattern.t) =
     (v1001 @ v1002 @ v1003 @ v1004, Some summary)
   end
 
+let validate ~waste_threshold =
+  if
+    not
+      (Float.is_finite waste_threshold
+      && waste_threshold >= 0.0 && waste_threshold < 1.0)
+  then
+    Error
+      (Printf.sprintf
+         "bad waste-threshold %g (must be finite, at least 0 and below 1)"
+         waste_threshold)
+  else Ok ()
+
 let run ?(waste_threshold = 0.10) ?file source =
-  let base_report diagnostics =
-    {
-      Lint.file;
-      source = Array.of_list (String.split_on_char '\n' source);
-      diagnostics = List.stable_sort D.compare_source diagnostics;
-    }
-  in
-  match Parser.parse ?file source with
-  | Error e ->
-    { report = base_report [ Parser.to_diagnostic e ]; summary = None }
-  | Ok ast ->
-    let config, elab = Elaborate.elaborate ast in
-    let errors = List.filter D.is_error elab in
-    (match (config, errors) with
-     | None, _ | _, _ :: _ -> { report = base_report errors; summary = None }
-     | Some { Elaborate.config = cfg; pattern }, [] ->
-       (match pattern with
-        | None -> { report = base_report []; summary = None }
-        | Some p ->
-          let diags, summary = analyze ~waste_threshold ~ast cfg p in
-          { report = base_report diags; summary }))
+  Result.iter_error
+    (fun e -> invalid_arg ("Advise.run: " ^ e))
+    (validate ~waste_threshold);
+  match Lint.elaborated ?file source with
+  | Error report -> { report; summary = None }
+  | Ok (_, { Elaborate.pattern = None; _ }) ->
+    { report = Lint.of_source ?file source []; summary = None }
+  | Ok (ast, { Elaborate.config = cfg; pattern = Some p }) ->
+    let diags, summary = analyze ~waste_threshold ~ast cfg p in
+    { report = Lint.of_source ?file source diags; summary }
 
 let run_file ?waste_threshold path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | source -> run ?waste_threshold ~file:path source
-  | exception Sys_error msg ->
-    {
-      report =
-        {
-          Lint.file = Some path;
-          source = [||];
-          diagnostics = [ D.errorf ~code:"V0006" "%s" msg ];
-        };
-      summary = None;
-    }
+  match Lint.read_file path with
+  | Ok source -> run ?waste_threshold ~file:path source
+  | Error report -> { report; summary = None }
 
 (* ----- rendering ---------------------------------------------------- *)
 

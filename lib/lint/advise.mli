@@ -63,19 +63,17 @@ type t = {
       (** [None] when there is no elaborated pattern to analyze *)
 }
 
+val validate : waste_threshold:float -> (unit, string) result
+(** [Error] with a message naming the knob unless [waste_threshold] is
+    finite, at least 0 and below 1. *)
+
 val run : ?waste_threshold:float -> ?file:string -> string -> t
 (** Advise on a description source.  [waste_threshold] (default 0.10)
-    is the actual-vs-floor fraction above which [V1004] fires. *)
+    is the actual-vs-floor fraction above which [V1004] fires.  Raises
+    [Invalid_argument] on a threshold {!validate} rejects. *)
 
 val run_file : ?waste_threshold:float -> string -> t
 (** {!run} on a file; I/O failures become a [V0006] diagnostic. *)
-
-val ideal_schedule :
-  timing:Vdram_sim.Timing.t -> banks:int -> schedulable:bool ->
-  Vdram_core.Pattern.t -> Vdram_core.Pattern.t option
-(** ASAP compaction of the loop's commands under the shared replay
-    discipline, tail-padded to the smallest cyclically legal length.
-    [None] when compaction cannot beat the authored loop. *)
 
 val static_bound : Vdram_core.Config.t -> Vdram_core.Pattern.t -> float
 (** The certified static floor, J per loop iteration: the smaller of

@@ -8,7 +8,6 @@
    as ordinary diagnostics (the V09xx band), so the lint renderers —
    text, JSON, SARIF, fix-its — work unchanged. *)
 
-module Parser = Vdram_dsl.Parser
 module Elaborate = Vdram_dsl.Elaborate
 module Ast = Vdram_dsl.Ast
 module Config = Vdram_core.Config
@@ -53,51 +52,53 @@ type gen_result = {
   viols : Legality.violation list;
 }
 
-(* Replay the pattern across all fourteen roadmap generations.  The
-   generations are grouped by bank count — the replay's bank rotation
-   and the rank-level tRRD/tFAW gates depend on it — and each group is
-   cleared with a single replay against the fold of
-   {!Timing.worst_case} over its members: every legality gate is
-   monotone nondecreasing in the timing fields, so a loop legal under
-   the worst case is legal under every member.  Only when the worst
-   case fails does the group fall back to per-generation replays
-   (the converse does not hold). *)
-let roadmap_results (p : Pattern.t) =
-  let gens = Roadmap.all in
+(* The fourteen roadmap generations, grouped by bank count (the
+   replay's bank rotation and the rank-level tRRD/tFAW gates depend on
+   it), each group with the fold of {!Timing.worst_case} over its
+   members.  Every legality gate is monotone nondecreasing in the
+   timing fields, so a loop legal under a group's worst case is legal
+   under every member; only when the worst case fails does a group
+   need per-generation replays (the converse does not hold). *)
+let roadmap_groups () =
   let with_timing =
     List.map
       (fun g -> (g, Timing.of_config (Config.of_generation g)))
-      gens
+      Roadmap.all
   in
-  let bank_counts =
-    List.sort_uniq compare (List.map (fun g -> g.Roadmap.banks) gens)
-  in
+  List.map
+    (fun banks ->
+      let members =
+        List.filter (fun (g, _) -> g.Roadmap.banks = banks) with_timing
+      in
+      let worst =
+        match members with
+        | (_, t) :: rest ->
+          List.fold_left (fun acc (_, t) -> Timing.worst_case acc t) t rest
+        | [] -> assert false
+      in
+      (banks, worst, members))
+    (List.sort_uniq compare (List.map (fun g -> g.Roadmap.banks) Roadmap.all))
+
+(* Replay the pattern across the roadmap, one group at a time. *)
+let roadmap_results (p : Pattern.t) =
   let by_group =
     List.concat_map
-      (fun banks ->
-        let members =
-          List.filter (fun (g, _) -> g.Roadmap.banks = banks) with_timing
-        in
-        let worst =
-          match members with
-          | (_, t) :: rest ->
-            List.fold_left (fun acc (_, t) -> Timing.worst_case acc t) t rest
-          | [] -> assert false
-        in
-        if fst (Legality.replay_pattern worst ~banks p) = [] then
-          List.map (fun (gen, timing) -> { gen; timing; viols = [] }) members
-        else
-          List.map
-            (fun (gen, timing) ->
-              { gen; timing;
-                viols = fst (Legality.replay_pattern timing ~banks p) })
-            members)
-      bank_counts
+      (fun (banks, worst, members) ->
+        let worst_legal = fst (Legality.replay_pattern worst ~banks p) = [] in
+        List.map
+          (fun (gen, timing) ->
+            let viols =
+              if worst_legal then []
+              else fst (Legality.replay_pattern timing ~banks p)
+            in
+            { gen; timing; viols })
+          members)
+      (roadmap_groups ())
   in
   (* Back into roadmap order. *)
   List.map
     (fun g -> List.find (fun r -> r.gen.Roadmap.node == g.Roadmap.node) by_group)
-    gens
+    Roadmap.all
 
 let cap_messages n msgs =
   let total = List.length msgs in
@@ -289,77 +290,55 @@ let run ?axes ?(splits = 4) ?(max_cells = 32) ?(samples = 0)
    | Ok () -> ()
    | Error e -> invalid_arg ("Check.run: " ^ e));
   let axes = match axes with Some a -> a | None -> default_axes () in
-  let base_report diagnostics =
-    {
-      Lint.file;
-      source = Array.of_list (String.split_on_char '\n' source);
-      diagnostics = List.stable_sort D.compare_source diagnostics;
-    }
-  in
-  match Parser.parse ?file source with
-  | Error e ->
-    { report = base_report [ Parser.to_diagnostic e ]; certificate = None }
-  | Ok ast ->
-    let config, elab = Elaborate.elaborate ast in
-    let errors = List.filter D.is_error elab in
-    (match (config, errors) with
-     | None, _ | _, _ :: _ ->
-       { report = base_report errors; certificate = None }
-     | Some { Elaborate.config = cfg; pattern }, [] ->
-       let pattern =
-         match pattern with
-         | Some p -> p
-         | None -> Pattern.idd4r cfg.Config.spec
-       in
-       let box = Abox.v ~base:cfg axes in
-       let bounds = Bounds.compute ~splits box pattern in
-       let metric = metric_for pattern in
-       let monotonicity =
-         List.map
-           (fun (a : Abox.axis) ->
-             let s : I.t = a.Abox.scale in
-             Monotone.certify ~max_cells ~base:cfg ~lens:a.Abox.lens
-               ~lo:s.I.lo ~hi:s.I.hi ~metric pattern)
-           axes
-       in
-       let authored_t = Timing.of_config cfg in
-       let authored_banks = cfg.Config.spec.Spec.banks in
-       let authored_legal =
-         fst (Legality.replay_pattern authored_t ~banks:authored_banks pattern)
-         = []
-       in
-       let results = roadmap_results pattern in
-       let sweep =
-         sweep_of_results
-           ~authored_node:(Node.name cfg.Config.node)
-           ~authored_legal results
-       in
-       let diags =
-         sweep_diagnostics ~ast
-           ~authored:(authored_t, authored_banks)
-           ~authored_legal pattern results
-       in
-       let samples =
-         if samples > 0 then
-           Some (sample_check ~seed ~count:samples box pattern bounds)
-         else None
-       in
-       let certificate =
-         Certificate.v ~sweep ?samples ~config:cfg ~pattern ~box ~splits
-           ~bounds ~monotonicity ()
-       in
-       { report = base_report diags; certificate = Some certificate })
+  match Lint.elaborated ?file source with
+  | Error report -> { report; certificate = None }
+  | Ok (ast, { Elaborate.config = cfg; pattern }) ->
+    let pattern =
+      match pattern with
+      | Some p -> p
+      | None -> Pattern.idd4r cfg.Config.spec
+    in
+    let box = Abox.v ~base:cfg axes in
+    let bounds = Bounds.compute ~splits box pattern in
+    let metric = metric_for pattern in
+    let monotonicity =
+      List.map
+        (fun (a : Abox.axis) ->
+          let s : I.t = a.Abox.scale in
+          Monotone.certify ~max_cells ~base:cfg ~lens:a.Abox.lens
+            ~lo:s.I.lo ~hi:s.I.hi ~metric pattern)
+        axes
+    in
+    let authored_t = Timing.of_config cfg in
+    let authored_banks = cfg.Config.spec.Spec.banks in
+    let authored_legal =
+      fst (Legality.replay_pattern authored_t ~banks:authored_banks pattern)
+      = []
+    in
+    let results = roadmap_results pattern in
+    let sweep =
+      sweep_of_results
+        ~authored_node:(Node.name cfg.Config.node)
+        ~authored_legal results
+    in
+    let diags =
+      sweep_diagnostics ~ast
+        ~authored:(authored_t, authored_banks)
+        ~authored_legal pattern results
+    in
+    let samples =
+      if samples > 0 then
+        Some (sample_check ~seed ~count:samples box pattern bounds)
+      else None
+    in
+    let certificate =
+      Certificate.v ~sweep ?samples ~config:cfg ~pattern ~box ~splits
+        ~bounds ~monotonicity ()
+    in
+    { report = Lint.of_source ?file source diags;
+      certificate = Some certificate }
 
 let run_file ?axes ?splits ?max_cells ?samples ?seed path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | source -> run ?axes ?splits ?max_cells ?samples ?seed ~file:path source
-  | exception Sys_error msg ->
-    {
-      report =
-        {
-          Lint.file = Some path;
-          source = [||];
-          diagnostics = [ D.errorf ~code:"V0006" "%s" msg ];
-        };
-      certificate = None;
-    }
+  match Lint.read_file path with
+  | Ok source -> run ?axes ?splits ?max_cells ?samples ?seed ~file:path source
+  | Error report -> { report; certificate = None }

@@ -33,6 +33,15 @@ val validate :
     [max_cells >= 4] (monotonicity refinement starts at four cells) and
     [samples >= 0]. *)
 
+val roadmap_groups :
+  unit ->
+  (int * Vdram_sim.Timing.t * (Vdram_tech.Roadmap.t * Vdram_sim.Timing.t) list)
+  list
+(** The fourteen roadmap generations grouped by bank count: the count,
+    the {!Vdram_sim.Timing.worst_case} fold over the group, and each
+    member with its timing.  A loop legal under a group's worst case
+    is legal under every member (the converse does not hold). *)
+
 val sample_check :
   seed:int ->
   count:int ->

@@ -2,7 +2,6 @@
 
 module Parser = Vdram_dsl.Parser
 module Elaborate = Vdram_dsl.Elaborate
-module Ast = Vdram_dsl.Ast
 module Validate = Vdram_core.Validate
 module Span = Vdram_diagnostics.Span
 module D = Vdram_diagnostics.Diagnostic
@@ -85,13 +84,32 @@ let dedup diags =
       || not (List.mem d.D.span error_spans))
     keep
 
-let run ?file source =
+let of_source ?file source diagnostics =
+  {
+    file;
+    source = Array.of_list (String.split_on_char '\n' source);
+    diagnostics = List.stable_sort D.compare_source diagnostics;
+  }
+
+let read_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | source -> Ok source
+  | exception Sys_error msg ->
+    Error
+      {
+        file = Some path;
+        source = [||];
+        diagnostics = [ D.errorf ~code:"V0006" "%s" msg ];
+      }
+
+(* Parse, then elaborate with errors accumulated: the parse warnings,
+   and the parse error or the AST with elaboration's result. *)
+let front ?file source =
   let result, parse_warnings = Parser.parse_with_warnings ?file source in
-  let diagnostics =
+  ( parse_warnings,
     match result with
-    | Error e -> parse_warnings @ [ Parser.to_diagnostic e ]
+    | Error e -> Error (Parser.to_diagnostic e)
     | Ok ast ->
-      let dims = guarded (fun () -> Passes.dimensions ast) in
       let config, elab =
         try Elaborate.elaborate ast
         with e ->
@@ -99,6 +117,23 @@ let run ?file source =
             [ D.errorf ~code:"V0200" "internal elaboration failure: %s"
                 (Printexc.to_string e) ] )
       in
+      Ok (ast, config, elab) )
+
+let elaborated ?file source =
+  match snd (front ?file source) with
+  | Error e -> Error (of_source ?file source [ e ])
+  | Ok (ast, config, elab) ->
+    (match (config, List.filter D.is_error elab) with
+     | Some c, [] -> Ok (ast, c)
+     | _, errors -> Error (of_source ?file source errors))
+
+let run ?file source =
+  let parse_warnings, parsed = front ?file source in
+  let diagnostics =
+    match parsed with
+    | Error e -> parse_warnings @ [ e ]
+    | Ok (ast, config, elab) ->
+      let dims = guarded (fun () -> Passes.dimensions ast) in
       let front = dedup (parse_warnings @ dims @ elab) in
       if List.exists D.is_error front then front
       else begin
@@ -122,21 +157,10 @@ let run ?file source =
           front @ semantic @ physics @ times @ fp @ pat
       end
   in
-  {
-    file;
-    source = Array.of_list (String.split_on_char '\n' source);
-    diagnostics = List.stable_sort D.compare_source diagnostics;
-  }
+  of_source ?file source diagnostics
 
 let run_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | source -> run ~file:path source
-  | exception Sys_error msg ->
-    {
-      file = Some path;
-      source = [||];
-      diagnostics = [ D.errorf ~code:"V0006" "%s" msg ];
-    }
+  match read_file path with Ok source -> run ~file:path source | Error r -> r
 
 let suppress ~codes r =
   if codes = [] then r

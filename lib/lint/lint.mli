@@ -27,6 +27,23 @@ val run : ?file:string -> string -> report
 val run_file : string -> report
 (** Lint a file; I/O failures become a [V0006] diagnostic. *)
 
+val of_source :
+  ?file:string -> string -> Vdram_diagnostics.Diagnostic.t list -> report
+(** The report of a source with the given findings, source-ordered. *)
+
+val read_file : string -> (string, report) result
+(** A file's contents, or the report of why it cannot be read (one
+    [V0006] error).  Every analysis's [run_file] reads through it. *)
+
+val elaborated :
+  ?file:string -> string ->
+  (Vdram_dsl.Ast.t * Vdram_dsl.Elaborate.t, report) result
+(** The parse -> elaborate front shared by every analysis: the AST
+    and the elaborated description, or the report of why there is
+    none (the parse error, or elaboration's errors; parse warnings
+    are left to lint).  An exception inside elaboration becomes a
+    [V0200] error, never a crash. *)
+
 val suppress : codes:string list -> report -> report
 (** Drop warnings whose code is listed ([--allow]).  Errors are never
     suppressed. *)

@@ -66,11 +66,6 @@ val parse_node : string -> (Vdram_tech.Node.t, string) result
     rounded to the nearest roadmap node.  A value that is not a finite
     positive length is an error. *)
 
-val parse_datarate : string option -> (float option, string) result
-(** A per-pin data rate such as ["1.6Gbps"], in bit/s.  An unparseable,
-    non-finite or non-positive rate is an error, never the node's
-    default. *)
-
 val resolve_config :
   config_spec ->
   (Vdram_core.Config.t * Vdram_core.Pattern.t option, string) result

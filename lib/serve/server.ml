@@ -636,7 +636,6 @@ let create ?faults ~engine cfg =
          })
 
 let drain t = Atomic.set t.draining true
-let draining t = Atomic.get t.draining
 let address t = Unix.getsockname t.lsock
 let coalesce_counters t = Coalesce.counters t.coalesce
 

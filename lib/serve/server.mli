@@ -73,16 +73,9 @@ val drain : t -> unit
 (** Flip the drain flag (signal-handler safe; idempotent).  {!serve}
     notices within its accept-poll interval. *)
 
-val draining : t -> bool
-
 val address : t -> Unix.sockaddr
 (** The bound address — for [Tcp (_, 0)] this carries the actual
     port. *)
-
-val stats_json : t -> Json.t
-(** The same object a [stats] request returns: the engine's job count,
-    request/coalescing/admission counters, failure classes, in-flight
-    depth, drain flag, uptime. *)
 
 val coalesce_counters : t -> int * int
 (** [(led, shared)] — exposed for tests and the smoke driver. *)

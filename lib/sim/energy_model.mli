@@ -21,15 +21,12 @@ val powerdown_power : Vdram_core.Config.t -> float
 
 val of_stats : Vdram_core.Config.t -> Stats.t -> report
 
-val of_pattern : Vdram_core.Config.t -> Vdram_core.Pattern.t -> report
-(** One loop iteration of the pattern priced through {!of_stats}: raw
-    slot counts over [Pattern.cycles p] cycles, no power-down or
-    refresh.  Consistent with the analytical
+val loop_energy : Vdram_core.Config.t -> Vdram_core.Pattern.t -> float
+(** One loop iteration of the pattern priced through {!of_stats},
+    joules: raw slot counts over [Pattern.cycles p] cycles, no
+    power-down or refresh.  Consistent with the analytical
     [Model.pattern_power cfg p *. Model.loop_time spec p], so the
     static analyses (`vdram advise`) and the abstract interpreter can
     compare their bounds against it. *)
-
-val loop_energy : Vdram_core.Config.t -> Vdram_core.Pattern.t -> float
-(** [(of_pattern cfg p).energy] — joules per loop iteration. *)
 
 val pp : Format.formatter -> report -> unit

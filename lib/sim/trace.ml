@@ -143,8 +143,3 @@ let load path =
     in
     go [] 1 lines
   with Sys_error msg -> Error msg
-
-let pp_request ppf r =
-  Format.fprintf ppf "@%d %s bank %d row %d col %d" r.arrival
-    (if r.is_write then "W" else "R")
-    r.bank r.row r.column

@@ -54,5 +54,3 @@ val save : string -> t -> unit
 val load : string -> (t, string) result
 (** Parse a trace file in the {!save} format; the error names the
     offending line. *)
-
-val pp_request : Format.formatter -> request -> unit

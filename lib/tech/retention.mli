@@ -6,13 +6,6 @@
     operating temperature into the refresh-interval scale used by the
     refresh studies. *)
 
-val reference_celsius : float
-(** 85 °C — the temperature the nominal 7.8 us tREFI is specified
-    at. *)
-
-val doubling_celsius : float
-(** Retention doubles per this many degrees of cooling: 10 °C. *)
-
 val interval_scale : celsius:float -> float
 (** Allowed refresh-interval multiple at a temperature:
     [2^((reference - T) / doubling)].  1.0 at 85 °C, 2.0 at 75 °C,

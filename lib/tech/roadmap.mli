@@ -43,12 +43,9 @@ val core_frequency : t -> float
     at ~200 MHz across the roadmap (the paper's low-cost-core
     assumption). *)
 
-val cell_area : t -> float
-(** Area of one cell, m^2: [cell_factor * F^2]. *)
-
 val die_area_estimate : t -> float
 (** Roadmap-level die area estimate, m^2:
-    [density * cell_area / array_efficiency].  The detailed floorplan
+    [density * cell_factor * F^2 / array_efficiency].  The detailed floorplan
     model refines this. *)
 
 val rows_per_bank : t -> int

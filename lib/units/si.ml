@@ -54,6 +54,3 @@ let format_eng ?(digits = 4) ~unit_symbol v =
     in
     Printf.sprintf "%s %s%s" s prefix unit_symbol
   end
-
-let pp_eng ~unit_symbol ppf v =
-  Format.pp_print_string ppf (format_eng ~unit_symbol v)

@@ -24,6 +24,3 @@ val format_eng : ?digits:int -> unit_symbol:string -> float -> string
     SI prefix so the mantissa falls in [1, 1000), e.g.
     [format_eng ~unit_symbol:"F" 4.2e-14 = "42 fF"].  [digits] is the
     number of significant digits (default 4).  Zero renders as ["0 <u>"]. *)
-
-val pp_eng : unit_symbol:string -> Format.formatter -> float -> unit
-(** Formatter version of {!format_eng}. *)

@@ -45,3 +45,11 @@ let at path j =
       | Some v -> v
       | None -> Alcotest.failf "JSON lacks member %s" (String.concat "." path))
     j path
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay
+    && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0

@@ -220,6 +220,27 @@ let test_summary_json () =
         [ "utilization"; "slack"; "idle_windows"; "certified_floor_j";
           "ideal_cycles"; "waste" ])
 
+(* ----- knobs ------------------------------------------------------ *)
+
+let test_waste_threshold_validated () =
+  List.iter
+    (fun t ->
+      Helpers.check_true (Printf.sprintf "%g accepted" t)
+        (Advise.validate ~waste_threshold:t = Ok ()))
+    [ 0.0; 0.10; 0.99 ];
+  List.iter
+    (fun t ->
+      let message =
+        Printf.sprintf
+          "bad waste-threshold %g (must be finite, at least 0 and below 1)" t
+      in
+      Helpers.check_true (Printf.sprintf "%g rejected" t)
+        (Advise.validate ~waste_threshold:t = Error message);
+      Alcotest.check_raises (Printf.sprintf "Advise.run raises on %g" t)
+        (Invalid_argument ("Advise.run: " ^ message))
+        (fun () -> ignore (Advise.run ~waste_threshold:t "Device\n")))
+    [ Float.nan; -1.0; 1.0; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "V10xx registry" `Quick test_registry;
@@ -237,4 +258,6 @@ let suite =
     Alcotest.test_case "degenerate usage" `Quick test_usage_empty;
     Helpers.qcheck test_floor_sound;
     Alcotest.test_case "summary JSON" `Quick test_summary_json;
+    Alcotest.test_case "waste threshold validated" `Quick
+      test_waste_threshold_validated;
   ]

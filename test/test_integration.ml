@@ -123,22 +123,36 @@ let test_sim_agrees_with_idd4 () =
        (sim_power *. 1e3) (idd4r_power *. 1e3))
     (sim_power > idd4r_power *. 0.7 && sim_power < idd4r_power *. 1.3)
 
-(* The one-shot CLI, run as a process: exit status, stdout, stderr. *)
-let run_exe exe args =
+(* The one-shot CLI, run as a process: exit status, stdout, stderr.
+   [input], when given, is the child's standard input. *)
+let run_exe ?input exe args =
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let in_r, in_w =
+    match input with
+    | None -> (Unix.stdin, None)
+    | Some _ ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      (r, Some w)
+  in
   let pid =
-    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_w
-      err_w
+    Unix.create_process exe (Array.of_list (exe :: args)) in_r out_w err_w
   in
   Unix.close out_w;
   Unix.close err_w;
+  (match (input, in_w) with
+   | Some text, Some w ->
+     Unix.close in_r;
+     let oc = Unix.out_channel_of_descr w in
+     output_string oc text;
+     close_out oc
+   | _ -> ());
   let read fd = In_channel.input_all (Unix.in_channel_of_descr fd) in
   let stdout = read out_r in
   let stderr = read err_r in
   (snd (Unix.waitpid [] pid), stdout, stderr)
 
-let run_cli = run_exe "../bin/vdram.exe"
+let run_cli ?input = run_exe ?input "../bin/vdram.exe"
 
 (* A bad value exits 2 with one diagnostic naming it, and prints no
    device. *)
@@ -203,11 +217,146 @@ let test_cli_bad_knobs () =
       ( [ "--lens"; "bitline capacitance=1:inf" ],
         "bad range \"1:inf\" (want finite 0 < LO <= HI)" );
     ];
+  (* Advise's threshold goes through Advise.validate. *)
+  List.iter
+    (fun (args, message) ->
+      check_usage_error
+        (("advise" :: args) @ [ "../examples/inefficient.dram" ])
+        message)
+    [
+      ( [ "--waste-threshold"; "nan" ],
+        "bad waste-threshold nan (must be finite, at least 0 and below 1)" );
+      ( [ "--waste-threshold=-1" ],
+        "bad waste-threshold -1 (must be finite, at least 0 and below 1)" );
+      ( [ "--waste-threshold"; "1" ],
+        "bad waste-threshold 1 (must be finite, at least 0 and below 1)" );
+    ];
+  (* A certificate path without --certify would be silently ignored. *)
+  check_usage_error
+    [ "check"; "--out"; "cert.json"; "../examples/sdr_128m.dram" ]
+    "--out only makes sense with --certify";
   (* A description file's error names the file. *)
   check_usage_error
     [ "power"; "fixtures/fixable.dram" ]
     "fixtures/fixable.dram: line 11: unknown technology parameter \
      \"cbitlinez\" [V0201]"
+
+(* lint, check and advise as processes over every shipped and fixture
+   description: the exit code and the JSON totals are those of the
+   in-process analyses, --allow drops a warning code and rejects an
+   unknown one, "-" reads standard input, and the fix loop either
+   previews (file untouched) or rewrites the file in place. *)
+let test_cli_analyses () =
+  let module Lint = Vdram_lint.Lint in
+  let module Json = Vdram_json.Json in
+  let dram dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".dram")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let files = dram "../examples" @ dram "fixtures" in
+  let analyses =
+    [
+      ("lint", fun file src -> Lint.run ?file src);
+      ("check", fun file src -> (Vdram_lint.Check.run ?file src).report);
+      ("advise", fun file src -> (Vdram_lint.Advise.run ?file src).report);
+    ]
+  in
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  let exit_is what code status =
+    Helpers.check_true
+      (Printf.sprintf "%s: exit %d" what code)
+      (status = Unix.WEXITED code)
+  in
+  let totals what stdout (r : Lint.report) =
+    let j = Helpers.json stdout in
+    let count k = Option.get (Json.int_ (Helpers.at [ k ] j)) in
+    Alcotest.(check int) (what ^ ": errors") (Lint.errors r) (count "errors");
+    Alcotest.(check int) (what ^ ": warnings") (Lint.warnings r)
+      (count "warnings")
+  in
+  List.iter
+    (fun (cmd, analyse) ->
+      List.iter
+        (fun f ->
+          let r = analyse (Some f) (read f) in
+          let what = String.concat " " [ cmd; f ] in
+          let status, _, _ = run_cli [ cmd; f ] in
+          exit_is what (Lint.exit_code [ r ]) status;
+          let status, _, _ = run_cli [ cmd; "--deny-warnings"; f ] in
+          exit_is (what ^ " --deny-warnings")
+            (Lint.exit_code ~deny_warnings:true [ r ])
+            status;
+          let _, stdout, _ = run_cli [ cmd; "--format"; "json"; f ] in
+          totals (what ^ " --format json") stdout r;
+          (match
+             List.find_opt
+               (fun d -> not (Vdram_diagnostics.Diagnostic.is_error d))
+               r.Lint.diagnostics
+           with
+           | None -> ()
+           | Some d ->
+             let code = d.Vdram_diagnostics.Diagnostic.code in
+             let _, stdout, _ =
+               run_cli [ cmd; "--format"; "json"; "--allow"; code; f ]
+             in
+             totals (what ^ " --allow " ^ code) stdout
+               (Lint.suppress ~codes:[ code ] r);
+             Helpers.check_true (what ^ ": " ^ code ^ " suppressed")
+               (not (Helpers.contains stdout ("\"" ^ code ^ "\""))));
+          let status, stdout, stderr =
+            run_cli [ cmd; "--allow"; "V9999"; f ]
+          in
+          exit_is (what ^ " --allow V9999") 124 status;
+          Alcotest.(check string) (what ^ ": nothing on stdout") "" stdout;
+          Helpers.check_true (what ^ ": unknown code named")
+            (Helpers.contains stderr "unknown lint code \"V9999\""))
+        files;
+      let source = read "../examples/ddr3_1gb.dram" in
+      let status, stdout, _ =
+        run_cli ~input:source [ cmd; "--format"; "json"; "-" ]
+      in
+      let r = analyse None source in
+      exit_is (cmd ^ " -") (Lint.exit_code [ r ]) status;
+      totals (cmd ^ " - (stdin)") stdout r)
+    analyses;
+  (* The fix loop, on temporary copies. *)
+  List.iter
+    (fun (cmd, original) ->
+      let copy = Filename.temp_file "vdram_fix" ".dram" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove copy)
+        (fun () ->
+          let source = read original in
+          let write () =
+            Out_channel.with_open_text copy (fun oc ->
+                Out_channel.output_string oc source)
+          in
+          write ();
+          let what = String.concat " " [ cmd; "--fix"; original ] in
+          let _, stdout, stderr =
+            run_cli [ cmd; "--fix"; "--dry-run"; copy ]
+          in
+          Helpers.check_true (what ^ " --dry-run: a diff")
+            (Helpers.contains stdout "@@ " && Helpers.contains stdout "+++ ");
+          Helpers.check_true (what ^ " --dry-run: counted")
+            (Helpers.contains stderr "fix(es) available (dry run)");
+          Alcotest.(check string) (what ^ " --dry-run: file untouched")
+            source (read copy);
+          let r = List.assoc cmd analyses (Some copy) source in
+          let fixed, applied = Lint.apply_fixes r in
+          Helpers.check_true (what ^ ": has fixes") (applied > 0);
+          let _, _, stderr = run_cli [ cmd; "--fix"; copy ] in
+          Helpers.check_true (what ^ ": applied")
+            (Helpers.contains stderr
+               (Printf.sprintf "applied %d fix(es)" applied));
+          Alcotest.(check string) (what ^ ": file rewritten") fixed
+            (read copy)))
+    [
+      ("lint", "fixtures/fixable.dram");
+      ("advise", "../examples/inefficient.dram");
+    ]
 
 (* The interval generator refuses a physics function it cannot carry
    soundly, naming the function and the construct, and writes
@@ -285,6 +434,8 @@ let suite =
       test_cli_bad_datarate;
     Alcotest.test_case "cli: out-of-range knobs exit 2" `Quick
       test_cli_bad_knobs;
+    Alcotest.test_case "cli: lint, check and advise match the in-process \
+                        analyses" `Quick test_cli_analyses;
     Alcotest.test_case "cli: served text equals one-shot stdout" `Quick
       test_served_equals_cli;
     Alcotest.test_case "physgen: untranslatable physics fails the build"
